@@ -12,8 +12,9 @@ are exposed as thin wrappers in :mod:`repro.core.oson.dom`.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from decimal import Decimal
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.core.oson import constants as c
 from repro.core.oson.dictionary import FieldDictionary
@@ -23,6 +24,9 @@ from repro.errors import OsonError
 _unpack_u16 = struct.Struct("<H").unpack_from
 _unpack_u32 = struct.Struct("<I").unpack_from
 _unpack_f64 = struct.Struct("<d").unpack_from
+
+#: "no default given" marker of :meth:`OsonDocument.scalar_value`
+_RAISE = object()
 
 
 class OsonDocument:
@@ -129,17 +133,71 @@ class OsonDocument:
         self._checked_extent(node, 3)
         return _unpack_u16(self.buffer, self.tree_start + node + 1)[0]
 
+    # -- containers ----------------------------------------------------------
+
     def _container_layout(self, node: int, header: int,
                           with_ids: bool) -> tuple[int, int]:
         """Validate a container node's full extent; returns
         (child count, delta width)."""
-        self._checked_extent(node, 3)
-        count = _unpack_u16(self.buffer, self.tree_start + node + 1)[0]
+        start = self.tree_start + node
         width = ((header >> c.CONTAINER_WIDTH_SHIFT)
                  & c.CONTAINER_WIDTH_MASK) + 1
-        ids_size = count * 2 if with_ids else 0
-        self._checked_extent(node, 3 + ids_size + count * width)
+        count = 0  # an unreadable count fails the 3-byte check below
+        if start + 3 <= self.value_start:
+            count = _unpack_u16(self.buffer, start + 1)[0]
+        self._checked_extent(
+            node, 3 + count * ((2 if with_ids else 0) + width))
         return count, width
+
+    def _child_at(self, node: int, delta_pos: int, width: int) -> int:
+        """The child whose delta sits at ``delta_pos`` (point reads)."""
+        return self._checked_child(node, int.from_bytes(
+            self.buffer[delta_pos:delta_pos + width], "little"))
+
+    def _children(self, node: int, header: int,
+                  with_ids: bool) -> tuple[Sequence[int], list[int]]:
+        """Bulk read: the one place a container's arrays are scanned.
+        The extent is validated once, which is what keeps struct.error
+        impossible; each array decodes in one unpack."""
+        count, width = self._container_layout(node, header, with_ids)
+        buffer = self.buffer
+        start = self.tree_start + node + 3
+        ids: Sequence[int] = ()
+        if with_ids:
+            ids = struct.unpack_from(f"<{count}H", buffer, start)
+            start += count * 2
+        if width == 1:
+            deltas: Sequence[int] = buffer[start:start + count]
+        elif width == 3:  # the one width struct has no code for
+            deltas = [int.from_bytes(buffer[pos:pos + 3], "little")
+                      for pos in range(start, start + count * 3, 3)]
+        else:
+            deltas = struct.unpack_from(
+                f"<{count}{'H' if width == 2 else 'I'}", buffer, start)
+        if count and not 0 < min(deltas) <= max(deltas) <= node:
+            # only an extreme delta can break the invariant: name it
+            self._checked_child(node, min(deltas))
+            self._checked_child(node, max(deltas))
+        return ids, [node - delta for delta in deltas]
+
+    def object_children(self, node: int
+                        ) -> Optional[tuple[Sequence[int], list[int]]]:
+        """``(sorted field ids, child addresses)`` of an object node, or
+        ``None`` when ``node`` is not an object.  Every child address is
+        already checked, so callers index the pair freely — a scan that
+        wants several fields of one object reads its arrays once."""
+        header = self._checked_header(node)
+        if header & c.NODE_TYPE_MASK != c.NODE_OBJECT:
+            return None
+        return self._children(node, header, True)
+
+    def array_children(self, node: int) -> Optional[list[int]]:
+        """Child addresses of an array node in element order, or ``None``
+        when ``node`` is not an array."""
+        header = self._checked_header(node)
+        if header & c.NODE_TYPE_MASK != c.NODE_ARRAY:
+            return None
+        return self._children(node, header, False)[1]
 
     def get_field_value(self, node: int, field_id: int) -> Optional[int]:
         """Binary-search an object's sorted field-id array; return the
@@ -147,27 +205,19 @@ class OsonDocument:
 
         This is the core win of the format: integer comparisons over a
         contiguous sorted array instead of the string scans BSON needs.
+        A point lookup reads the id array and the one delta it needs.
         """
-        buffer = self.buffer
         header = self._checked_header(node)
         if header & c.NODE_TYPE_MASK != c.NODE_OBJECT:
             return None
         count, width = self._container_layout(node, header, with_ids=True)
         ids_start = self.tree_start + node + 3
-        lo, hi = 0, count - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            mid_id = _unpack_u16(buffer, ids_start + mid * 2)[0]
-            if mid_id == field_id:
-                delta_pos = ids_start + count * 2 + mid * width
-                delta = int.from_bytes(
-                    buffer[delta_pos:delta_pos + width], "little")
-                return self._checked_child(node, delta)
-            if mid_id < field_id:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
+        ids = struct.unpack_from(f"<{count}H", self.buffer, ids_start)
+        index = bisect_left(ids, field_id)
+        if index == count or ids[index] != field_id:
+            return None
+        return self._child_at(node, ids_start + count * 2 + index * width,
+                              width)
 
     def get_field_value_by_name(self, node: int, name: str,
                                 name_hash: Optional[int] = None) -> Optional[int]:
@@ -179,22 +229,14 @@ class OsonDocument:
 
     def object_items(self, node: int) -> Iterator[tuple[int, int]]:
         """Iterate (field id, child address) pairs of an object node."""
-        buffer = self.buffer
-        header = self._checked_header(node)
-        if header & c.NODE_TYPE_MASK != c.NODE_OBJECT:
+        pair = self.object_children(node)
+        if pair is None:
             raise OsonError("not an object node")
-        count, width = self._container_layout(node, header, with_ids=True)
-        ids_start = self.tree_start + node + 3
-        deltas_start = ids_start + count * 2
-        for i in range(count):
-            field_id = _unpack_u16(buffer, ids_start + i * 2)[0]
-            delta_pos = deltas_start + i * width
-            delta = int.from_bytes(buffer[delta_pos:delta_pos + width], "little")
-            yield field_id, self._checked_child(node, delta)
+        return zip(*pair)
 
     def get_array_element(self, node: int, index: int) -> Optional[int]:
-        """Direct positional access to the Nth array element."""
-        buffer = self.buffer
+        """Direct positional access to the Nth array element: one delta
+        is read, however long the array."""
         header = self._checked_header(node)
         if header & c.NODE_TYPE_MASK != c.NODE_ARRAY:
             return None
@@ -203,22 +245,15 @@ class OsonDocument:
             index += count
         if not 0 <= index < count:
             return None
-        delta_pos = self.tree_start + node + 3 + index * width
-        delta = int.from_bytes(buffer[delta_pos:delta_pos + width], "little")
-        return self._checked_child(node, delta)
+        return self._child_at(
+            node, self.tree_start + node + 3 + index * width, width)
 
     def array_elements(self, node: int) -> Iterator[int]:
         """Iterate the node addresses of an array's elements."""
-        buffer = self.buffer
-        header = self._checked_header(node)
-        if header & c.NODE_TYPE_MASK != c.NODE_ARRAY:
+        children = self.array_children(node)
+        if children is None:
             raise OsonError("not an array node")
-        count, width = self._container_layout(node, header, with_ids=False)
-        deltas_start = self.tree_start + node + 3
-        for i in range(count):
-            delta_pos = deltas_start + i * width
-            delta = int.from_bytes(buffer[delta_pos:delta_pos + width], "little")
-            yield self._checked_child(node, delta)
+        return iter(children)
 
     # -- scalars ---------------------------------------------------------------
 
@@ -229,17 +264,21 @@ class OsonDocument:
         length 0.  For length-prefixed scalars the offset points *past*
         the LEB128 length at the payload bytes.
         """
-        buffer = self.buffer
         header = self._checked_header(node)
         if header & c.NODE_TYPE_MASK != c.NODE_SCALAR:
             raise OsonError("not a scalar node")
+        return self._scalar_info(node, header)
+
+    def _scalar_info(self, node: int, header: int) -> tuple[int, int, int]:
+        buffer = self.buffer
         scalar_type = (header >> c.SCALAR_TYPE_SHIFT) & c.SCALAR_TYPE_MASK
         if scalar_type in c.INLINE_SCALARS:
             return scalar_type, -1, 0
         width = ((header >> c.SCALAR_WIDTH_SHIFT) & c.SCALAR_WIDTH_MASK) + 1
         self._checked_extent(node, 1 + width)
         base = self.tree_start + node
-        rel = int.from_bytes(buffer[base + 1:base + 1 + width], "little")
+        rel = buffer[base + 1] if width == 1 else int.from_bytes(
+            buffer[base + 1:base + 1 + width], "little")
         abs_off = self.value_start + rel
         if abs_off >= len(buffer):
             raise OsonError(f"scalar value offset {rel} outside the value "
@@ -249,15 +288,24 @@ class OsonDocument:
                 raise OsonError("float payload overruns the value segment",
                                 offset=abs_off)
             return scalar_type, abs_off, 8
-        length, payload_off = read_leb128(buffer, abs_off)
+        length, payload_off = buffer[abs_off], abs_off + 1
+        if length & 0x80:  # lengths under 128 are their own LEB128 byte
+            length, payload_off = read_leb128(buffer, abs_off)
         if payload_off + length > len(buffer):
             raise OsonError(f"{length}-byte scalar payload overruns the "
                             "value segment", offset=payload_off)
         return scalar_type, payload_off, length
 
-    def scalar_value(self, node: int) -> Any:
-        """Decode a scalar node to its Python value."""
-        scalar_type, offset, length = self.get_scalar_info(node)
+    def scalar_value(self, node: int, container: Any = _RAISE) -> Any:
+        """Decode a scalar node to its Python value.  An object or array
+        node yields ``container`` when one is given (a scan asks "the
+        scalar here, if any" in one step) and raises otherwise."""
+        header = self._checked_header(node)
+        if header & c.NODE_TYPE_MASK != c.NODE_SCALAR:
+            if container is _RAISE:
+                raise OsonError("not a scalar node")
+            return container
+        scalar_type, offset, length = self._scalar_info(node, header)
         if scalar_type == c.SCALAR_NULL:
             return None
         if scalar_type == c.SCALAR_TRUE:

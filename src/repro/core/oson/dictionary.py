@@ -132,13 +132,10 @@ class FieldDictionary:
         entries_end = pos + count * _ENTRY.size
         if entries_end > len(buffer):
             raise OsonError("truncated dictionary entries")
-        hashes: list[int] = []
-        lengths: list[int] = []
-        for _ in range(count):
-            name_hash, name_len = _ENTRY.unpack_from(buffer, pos)
-            hashes.append(name_hash)
-            lengths.append(name_len)
-            pos += _ENTRY.size
+        # the name lengths are every fifth byte of the entry array: the
+        # segment's extent, and with it the intern probe, needs no
+        # per-entry decoding
+        lengths = buffer[pos + 4:entries_end:_ENTRY.size]
         blob_end = entries_end + sum(lengths)
         if blob_end > len(buffer):
             raise OsonError("dictionary name blob truncated",
@@ -147,6 +144,8 @@ class FieldDictionary:
         interned = _INTERNED.get(segment)
         if interned is not None:
             return interned, blob_end
+        hashes = [name_hash for name_hash, _length in _ENTRY.iter_unpack(
+            buffer[pos:entries_end])]
         names = []
         cursor = entries_end
         for name_len in lengths:

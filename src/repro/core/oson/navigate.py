@@ -137,20 +137,17 @@ def _walk_chain(doc: OsonDocument, chain: tuple, node: int,
     """Single-live-node walk for pure member/single-index chains."""
     for op in chain:
         if op[0] == OP_FIELD:
-            node_type = doc.node_type(node)
-            if node_type == c.NODE_ARRAY:
-                return _UNNEST  # lax auto-unnesting: needs node lists
-            if node_type != c.NODE_OBJECT:
-                return []
             compiled = op[1]
             if resolver is not None:
                 field_id = resolver.resolve(doc, compiled)
             else:
                 field_id = doc.field_id(compiled.name, compiled.hash)
-            if field_id is None:
-                return []
-            child = doc.get_field_value(node, field_id)
+            child = None
+            if field_id is not None:
+                child = doc.get_field_value(node, field_id)
             if child is None:
+                if doc.node_type(node) == c.NODE_ARRAY:
+                    return _UNNEST  # lax auto-unnesting: needs node lists
                 return []
             node = child
         else:  # single absolute index
@@ -197,29 +194,27 @@ def _step_field(doc: OsonDocument, nodes: list[int],
         return []  # absent from the dictionary => absent from every object
     out: list[int] = []
     for node in nodes:
-        node_type = doc.node_type(node)
-        if node_type == c.NODE_OBJECT:
-            child = doc.get_field_value(node, field_id)
+        child = doc.get_field_value(node, field_id)
+        if child is not None:
+            out.append(child)
+            continue
+        # lax auto-unnesting: on an array the member step applies to
+        # each object element (nested arrays are not recursed into)
+        for element in doc.array_children(node) or ():
+            child = doc.get_field_value(element, field_id)
             if child is not None:
                 out.append(child)
-        elif node_type == c.NODE_ARRAY:
-            # lax auto-unnesting: the member step applies to each
-            # object element (nested arrays are not recursed into)
-            for element in doc.array_elements(node):
-                if doc.node_type(element) == c.NODE_OBJECT:
-                    child = doc.get_field_value(element, field_id)
-                    if child is not None:
-                        out.append(child)
     return out
 
 
 def _step_wildcard(doc: OsonDocument, nodes: list[int]) -> list[int]:
     out: list[int] = []
     for node in nodes:
-        if doc.node_type(node) == c.NODE_ARRAY:
-            out.extend(doc.array_elements(node))
-        else:
+        elements = doc.array_children(node)
+        if elements is None:
             out.append(node)  # lax: non-array behaves as singleton array
+        else:
+            out.extend(elements)
     return out
 
 

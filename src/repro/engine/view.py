@@ -196,13 +196,15 @@ class JsonTableView(View):
         column (``$.jdoc.purchaseOrder.items.partno``) with ``[*]``
         steps dropped — DataGuide paths do not spell array traversal.
         That only works when the shard guides can actually see inside
-        the documents: a column stored as OSON bytes (``{"$raw": ...}``
-        wrapper) or TEXT is opaque to the base store's guide, and
-        pruning on "path absent" there would wrongly skip every shard —
-        so pruning is offered only when every non-empty shard indexes
-        the column as a JSON object.  Routing-equality pruning is not
-        offered: a view column's values are nested projections, not the
-        base routing field.
+        the documents: a column stored as TEXT (a string to the guide)
+        or as binary — OSON bytes persist as a ``{"$raw": <hex>}``
+        wrapper, which the guide sees as an object with that one
+        member — is opaque to the base store's guide, and pruning on
+        "path absent" there would wrongly skip every shard.  So pruning
+        is offered only when every non-empty shard indexes the column
+        as a JSON object that is not such a wrapper.  Routing-equality
+        pruning is not offered: a view column's values are nested
+        projections, not the base routing field.
         """
         base_fn = getattr(self.table, "shard_plan", None)
         if base_fn is None:
@@ -218,8 +220,10 @@ class JsonTableView(View):
                              shard.guide)
                   for shard in base.shards]
         column_root = child_path("$", self.json_column)
+        raw_wrapper = child_path(column_root, "$raw")
         opaque = any(
-            entry.path == column_root and entry.kind != "object"
+            entry.path == raw_wrapper
+            or entry.path == column_root and entry.kind != "object"
             for shard in base.shards for entry in shard.guide.entries())
         if opaque:
             return ShardPlanInfo(self.name, shards, lambda column: None,

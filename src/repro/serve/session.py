@@ -134,8 +134,35 @@ class _SnapshotView:
         would let a session's scatter read past its snapshot."""
         return self._table.shard_plan(self._snapshot)
 
+    @property
+    def imc(self) -> Any:
+        """The table's columnar-cache binding, for the plan rewrite.
+        The cache serves the table's current state, so it stands in for
+        this view only while the pin *is* the current published state;
+        behind a stale pin the rewrite finds no binding and the
+        snapshot's own rows are scanned."""
+        imc = self._table.imc
+        if imc is None or \
+                self._table.store.snapshot().version != self._snapshot.version:
+            return None
+        return _ViewIMC(imc, self._table)
+
     def __getattr__(self, attr: str) -> Any:
         return getattr(self._table, attr)
+
+
+class _ViewIMC:
+    """An IMC binding seen through a :class:`_SnapshotView`: the cache
+    is keyed by the bound table, so scans name it, not the view."""
+
+    __slots__ = ("_imc", "_table")
+
+    def __init__(self, imc: Any, table: DurableTable) -> None:
+        self._imc = imc
+        self._table = table
+
+    def scan_rows(self, _view: Any, names: Sequence[str]) -> List[dict]:
+        return self._imc.scan_rows(self._table, names)
 
 
 class _SessionCatalog:
@@ -188,6 +215,7 @@ class Cursor:
         self._token = token
         self._future = self._session._submit_read(sql, params, token,
                                                   on_shard_failure)
+        self._session._cursors.add(self)
         return self
 
     def _execute_query(self, query: Query,
@@ -205,6 +233,7 @@ class Cursor:
                         type(query._source).__name__)
         self._future = self._session._submit_query(
             query, token, f"<query over {label}>", on_shard_failure)
+        self._session._cursors.add(self)
         return self
 
     def cancel(self) -> None:
@@ -235,6 +264,10 @@ class Cursor:
                 _CANCELLED.inc()
                 raise Cancelled("query cancelled before it started"
                                 ) from None
+            finally:
+                # the statement is over: nothing left for the session
+                # to cancel, so it must not keep the rows alive
+                self._session._cursors.discard(self)
         return self._rows
 
     def fetchall(self) -> List[dict]:
@@ -284,6 +317,7 @@ class Cursor:
     def close(self) -> None:
         self.cancel()
         self._closed = True
+        self._session._cursors.discard(self)
 
 
 class Session:
@@ -295,7 +329,9 @@ class Session:
         self._catalog = _SessionCatalog(self)
         #: table name -> pinned StoreSnapshot; pins only move forward
         self._pins: Dict[str, Any] = {}
-        self._cursors: List[Cursor] = []
+        #: cursors with a statement in flight — what :meth:`close` has
+        #: to cancel; a cursor leaves once its result is in or it closes
+        self._cursors: set = set()
         self._closed = False
         #: session-level shard-failure policy ("fail" | "partial"),
         #: seeded from the server default; per-statement
@@ -345,9 +381,7 @@ class Session:
 
     def cursor(self) -> Cursor:
         self._live()
-        cursor = Cursor(self)
-        self._cursors.append(cursor)
-        return cursor
+        return Cursor(self)
 
     def execute(self, sql: str, params: Sequence[Any] = (),
                 timeout_ms: Optional[float] = None,
@@ -367,10 +401,8 @@ class Session:
         The query's own source decides snapshot pinning (builders over
         durable tables read current published state); the chaos harness
         drives the Figure-3 builder queries through here."""
-        self._live()
-        cursor = Cursor(self)
-        self._cursors.append(cursor)
-        return cursor._execute_query(query, timeout_ms, on_shard_failure)
+        return self.cursor()._execute_query(query, timeout_ms,
+                                            on_shard_failure)
 
     def _submit_read(self, sql: str, params: Sequence[Any],
                      token: CancelToken,
@@ -464,8 +496,9 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        for cursor in self._cursors:
+        for cursor in list(self._cursors):
             cursor.cancel()
+        self._cursors.clear()
         self._pins.clear()
 
     def __enter__(self) -> "Session":

@@ -30,10 +30,14 @@ The row source implements the volcano-style iterator API of section 5.1:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.core.counters import BoundedCache
+from repro.core.oson import constants as oson_constants
+from repro.core.oson.decoder import OsonDocument
+from repro.core.oson.navigate import navigation_enabled
 from repro.errors import QueryError, ReproError
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -90,6 +94,93 @@ def _common_member_prefix(paths: Sequence[path_ast.JsonPath]) -> int:
     return depth
 
 
+class _RowProgram:
+    """One row node compiled for the OSON scan kernel.
+
+    The node's lax member-chain column paths and NESTED PATH row paths
+    (a member chain, optionally ending in ``[*]``) merge into a trie of
+    member names.  Each trie node is one object level: its names resolve
+    to field ids once per dictionary ``generation``, so expanding a row
+    reads every context object's id/child arrays once
+    (:meth:`OsonDocument.object_children`) and picks all wanted children
+    from that read, where the per-column route walks each path from the
+    row context again.  Whatever the trie cannot hold — strict mode,
+    subscripts, filters, item methods — stays in ``loose_*`` and is
+    evaluated per column by the node's :class:`PathEvaluator`.
+    """
+
+    __slots__ = ("columns", "nested", "fields", "loose_columns",
+                 "loose_nested", "_resolved")
+
+    def __init__(self, columns: Iterable[tuple[path_ast.JsonPath, tuple]] = (),
+                 nested_paths: Iterable[path_ast.JsonPath] = ()) -> None:
+        #: the ``_CompiledNode.columns`` entries whose path ends here
+        self.columns: list[tuple] = []
+        #: (child index, trailing ``[*]``) of row paths ending here
+        self.nested: list[tuple[int, bool]] = []
+        #: member name -> (compiled name, sub-trie)
+        self.fields: dict[str, tuple[Any, _RowProgram]] = {}
+        self.loose_columns: list[tuple] = []
+        self.loose_nested: list[int] = []
+        #: dictionary generation -> :meth:`resolved` entries; one dict
+        #: store per new generation, so concurrent scans at worst
+        #: resolve the same generation twice
+        self._resolved: dict[int, list[tuple]] = {}
+        for path, column in columns:
+            end = self._descend(path, path.steps)
+            if end is None or end is self:
+                # ('$' names the row node itself: no member step to ride)
+                self.loose_columns.append(column)
+            else:
+                end.columns.append(column)
+        for index, path in enumerate(nested_paths):
+            steps = path.steps
+            wildcard = bool(steps) and isinstance(
+                steps[-1], path_ast.ArrayStep) and steps[-1].is_wildcard
+            end = self._descend(path, steps[:-1] if wildcard else steps)
+            if end is None:
+                self.loose_nested.append(index)
+            else:
+                end.nested.append((index, wildcard))
+
+    def _descend(self, path: path_ast.JsonPath,
+                 steps: Sequence[Any]) -> Optional["_RowProgram"]:
+        """The trie node ``steps`` lead to, created on the way; None when
+        the path is not a lax member chain."""
+        if path.mode != path_ast.LAX or not all(
+                isinstance(step, path_ast.MemberStep) for step in steps):
+            return None
+        trie = self
+        for step in steps:
+            if step.name not in trie.fields:
+                trie.fields[step.name] = (step.compiled, _RowProgram())
+            trie = trie.fields[step.name][1]
+        return trie
+
+    def resolved(self, doc: OsonDocument) -> list[tuple]:
+        """``(field id, columns ending there, sub-trie to walk on or
+        None)`` for this level's names in ``doc``'s dictionary."""
+        dictionary = doc.dictionary
+        found = self._resolved.get(dictionary.generation)
+        if found is None:
+            found = []
+            for compiled, sub in self.fields.values():
+                field_id = dictionary.field_id(compiled.name, compiled.hash)
+                if field_id is not None:
+                    found.append((field_id, sub.columns,
+                                  sub if sub.nested or sub.fields else None))
+            if len(self._resolved) >= 256:  # as many as are ever interned
+                self._resolved.clear()
+            self._resolved[dictionary.generation] = found
+        return found
+
+    def below(self) -> Iterator["_RowProgram"]:
+        """Every trie node under this one."""
+        for _compiled, sub in self.fields.values():
+            yield sub
+            yield from sub.below()
+
+
 class _CompiledNode:
     """A row-generation node: its path evaluator, scalar columns and
     compiled nested children.
@@ -99,10 +190,13 @@ class _CompiledNode:
     the shared prefix navigates **once per row** into ``prefix_evaluator``
     and each column keeps only its suffix — previously every column
     re-walked the common prefix from the row context.
+
+    ``program`` is the same node compiled for the OSON scan kernel (see
+    :class:`_RowProgram`).
     """
 
     __slots__ = ("evaluator", "columns", "children", "absolute_paths",
-                 "prefix_evaluator")
+                 "prefix_evaluator", "program")
 
     def __init__(self, row_path: str,
                  columns: Sequence[Union[ColumnDef, NestedPath]],
@@ -146,6 +240,9 @@ class _CompiledNode:
                 PathEvaluator(compiled),
                 make_coercer(definition.sql_type),
             ))
+        self.program = _RowProgram(
+            zip(compiled_paths, self.columns),
+            (child.evaluator.path for child in self.children))
 
     def column_names(self) -> list[str]:
         names = [name for name, _evaluator, _coercer in self.columns]
@@ -199,14 +296,18 @@ class JsonTable:
         cached = self.cached_rows(adapter)
         if cached is not None:
             return cached
+        # the scan kernel reads binary images directly; it is on exactly
+        # when partial-decode navigation is (ablation 6, DOM-route oracle)
+        kernel = type(adapter) is OsonAdapter and navigation_enabled()
         out: list[dict[str, Any]] = []
         for context in self._root.evaluator.select(adapter):
             if isinstance(context, _Computed):
                 continue
-            for partial in self._expand(adapter, context, self._root):
-                row = dict.fromkeys(self.column_names)
-                row.update(partial)
-                out.append(row)
+            # the root row starts from every column NULL, so whatever a
+            # row leaves unset (an absent field, a sibling NESTED PATH's
+            # columns under the union join) is already there
+            out.extend(self._expand(adapter, context, self._root, kernel,
+                                    dict.fromkeys(self.column_names)))
         _DOCS_EXPANDED.inc()
         _ROWS_PRODUCED.inc(len(out))
         _trace.current_span().record("jsontable_rows", len(out))
@@ -238,89 +339,126 @@ class JsonTable:
 
     # -- row expansion -----------------------------------------------------------
 
-    def _expand(self, adapter: Any, context: Any,
-                node: _CompiledNode) -> list[dict[str, Any]]:
-        base: dict[str, Any] = {}
-        if node.prefix_evaluator is not None:
-            # shared-prefix factoring: navigate the common member chain
-            # once, then each column only walks its suffix.  Sequential
-            # step application distributes over the node list, so the
-            # concatenation of per-prefix-node suffix results is exactly
-            # the full path's result.
-            contexts = node.prefix_evaluator.select_from(adapter, context)
+    def _expand(self, adapter: Any, context: Any, node: _CompiledNode,
+                kernel: bool, base: dict[str, Any]) -> list[dict[str, Any]]:
+        """Rows of ``node`` at ``context``; ``base`` receives the node's
+        own column values and is the row when no detail joins it."""
+        if kernel:
+            child_contexts = _scan_row(adapter, context, node, base)
+        else:
+            contexts = [context]
+            if node.prefix_evaluator is not None:
+                # shared-prefix factoring: navigate the common member
+                # chain once, then each column only walks its suffix
+                contexts = node.prefix_evaluator.select_from(adapter, context)
             for name, evaluator, coercer in node.columns:
-                if len(contexts) == 1:
-                    base[name] = _column_value(
-                        adapter, contexts[0], evaluator, coercer)
-                else:
-                    base[name] = _column_value_multi(
-                        adapter, contexts, evaluator, coercer)
-            if not node.children:
-                return [base]
-            return self._expand_children(adapter, context, node, base)
-        for name, evaluator, coercer in node.columns:
-            base[name] = _column_value(adapter, context, evaluator, coercer)
-        if not node.children:
-            return [base]
-        return self._expand_children(adapter, context, node, base)
-
-    def _expand_children(self, adapter: Any, context: Any,
-                         node: _CompiledNode,
-                         base: dict[str, Any]) -> list[dict[str, Any]]:
+                base[name] = _column_value(adapter, contexts, evaluator,
+                                           coercer)
+            child_contexts = [child.evaluator.select_from(adapter, context)
+                              for child in node.children]
         rows: list[dict[str, Any]] = []
-        for child in node.children:
-            # left outer join of this child's rows against the parent
-            child_rows: list[dict[str, Any]] = []
-            for child_context in child.evaluator.select_from(adapter, context):
+        for child, contexts in zip(node.children, child_contexts):
+            # left outer join of this child's rows against the parent;
+            # siblings union-join: each one's rows keep the others' NULLs
+            for child_context in contexts:
                 if isinstance(child_context, _Computed):
                     continue
-                child_rows.extend(self._expand(adapter, child_context, child))
-            for child_row in child_rows:
-                merged = dict(base)
-                merged.update(child_row)
-                rows.append(merged)
-            # union join between siblings: rows of one sibling carry NULLs
-            # for the others' columns, which dict.fromkeys handles in rows()
-        if not rows:
-            # outer-join semantics: keep the parent even with no details
-            return [base]
-        return rows
+                for child_row in self._expand(adapter, child_context, child,
+                                              kernel, {}):
+                    merged = dict(base)
+                    merged.update(child_row)
+                    rows.append(merged)
+        # outer-join semantics: keep the parent even with no details
+        return rows or [base]
 
 
-def _column_value(adapter: Any, context: Any, evaluator: PathEvaluator,
-                  coercer: Any) -> Any:
-    nodes = evaluator.select_from(adapter, context)
+#: what the kernel asks ``scalar_value`` to answer for non-scalar nodes
+_CONTAINER = object()
+
+
+def _scan_row(adapter: OsonAdapter, context: int, node: _CompiledNode,
+              base: dict[str, Any]) -> list[Sequence[Any]]:
+    """The scan kernel: fills one row's column values into ``base`` and
+    returns, per NESTED PATH child, its row contexts — each object on
+    the way read once."""
+    program = node.program
+    child_contexts: list[Sequence[Any]] = [()] * len(node.children)
+    columns = program.loose_columns
+    nested = program.loose_nested
+    unnest: list[_RowProgram] = []
+    _scan(adapter.doc, program, context, base, child_contexts, unnest)
+    for trie in unnest:
+        # a member step met an array: lax unnesting selects through its
+        # elements, which only the path engine spells out
+        for sub in trie.below():
+            columns = columns + sub.columns
+            nested = nested + [index for index, _wildcard in sub.nested]
+    if columns:
+        contexts = [context]
+        if node.prefix_evaluator is not None:
+            contexts = node.prefix_evaluator.select_from(adapter, context)
+        for name, evaluator, coercer in columns:
+            base[name] = _column_value(adapter, contexts, evaluator, coercer)
+    for index in nested:
+        child_contexts[index] = node.children[index].evaluator.select_from(
+            adapter, context)
+    return child_contexts
+
+
+def _scan(doc: OsonDocument, trie: _RowProgram, node: int,
+          base: dict[str, Any], child_contexts: list[Sequence[Any]],
+          unnest: list[_RowProgram]) -> None:
+    """One trie level at one node: hand out the row contexts that end
+    here, then read the object once and follow every wanted member."""
+    for index, wildcard in trie.nested:
+        elements = doc.array_children(node) if wildcard else None
+        # lax: a non-array behaves as a singleton array under [*]
+        child_contexts[index] = [node] if elements is None else elements
+    if not trie.fields:
+        return
+    pair = doc.object_children(node)
+    if pair is None:
+        if doc.node_type(node) == oson_constants.NODE_ARRAY:
+            unnest.append(trie)
+        return
+    ids, children = pair
+    count = len(ids)
+    for field_id, columns, deeper in trie.resolved(doc):
+        position = bisect_left(ids, field_id)
+        if position == count or ids[position] != field_id:
+            continue
+        child = children[position]
+        if columns:
+            value = doc.scalar_value(child, _CONTAINER)
+            if value is not _CONTAINER:  # a container column is NULL
+                for name, _evaluator, coercer in columns:
+                    base[name] = _coerced(value, coercer)
+        if deeper is not None:
+            _scan(doc, deeper, child, base, child_contexts, unnest)
+
+
+def _column_value(adapter: Any, contexts: Sequence[Any],
+                  evaluator: PathEvaluator, coercer: Any) -> Any:
+    """Column value over the factored prefix nodes: the suffix path runs
+    from each prefix node and the results concatenate (sequential step
+    application distributes over the node list), which is exactly what
+    the unfactored full path would have selected."""
+    if len(contexts) == 1:
+        nodes = evaluator.select_from(adapter, contexts[0])
+    else:
+        nodes = [node for context in contexts
+                 for node in evaluator.select_from(adapter, context)]
     if len(nodes) != 1:
         return None
-    return _node_value(adapter, nodes[0], coercer)
+    selected = nodes[0]
+    if isinstance(selected, _Computed):
+        return _coerced(selected.value, coercer)
+    if adapter.kind(selected) == SCALAR:
+        return _coerced(adapter.scalar(selected), coercer)
+    return None
 
 
-def _column_value_multi(adapter: Any, contexts: Sequence[Any],
-                        evaluator: PathEvaluator, coercer: Any) -> Any:
-    """Column value over factored prefix nodes: the suffix path runs from
-    each prefix node and the results concatenate (order preserved), which
-    is exactly what the unfactored full path would have selected."""
-    selected: Optional[Any] = None
-    count = 0
-    for context in contexts:
-        nodes = evaluator.select_from(adapter, context)
-        count += len(nodes)
-        if count > 1:
-            return None
-        if nodes:
-            selected = nodes[0]
-    if count != 1:
-        return None
-    return _node_value(adapter, selected, coercer)
-
-
-def _node_value(adapter: Any, node: Any, coercer: Any) -> Any:
-    if isinstance(node, _Computed):
-        value = node.value
-    elif adapter.kind(node) == SCALAR:
-        value = adapter.scalar(node)
-    else:
-        return None
+def _coerced(value: Any, coercer: Any) -> Any:
     try:
         return coercer(value)
     except (ReproError, ValueError, TypeError):

@@ -154,7 +154,9 @@ def _compile_operand(operand: ast.Operand) -> Optional[_Operand]:
 
     def operand_values(doc: OsonDocument, node: int, resolver: Any) -> list:
         values = []
-        for selected in navigate(doc, program, node, resolver):
+        # a bare ``@`` selects the context item itself: nothing to walk
+        selection = navigate(doc, program, node, resolver) if ops else (node,)
+        for selected in selection:
             node_type = doc.node_type(selected)
             if node_type == c.NODE_SCALAR:
                 values.append(doc.scalar_value(selected))

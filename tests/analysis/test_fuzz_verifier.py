@@ -21,8 +21,9 @@ from repro.bson import encode as bson_encode
 from repro.core.oson import decode as oson_decode
 from repro.core.oson import encode as oson_encode
 from repro.errors import BinaryFormatError, BsonError, OsonError, ReproError
+from repro.sqljson import ColumnDef, JsonTable, NestedPath, json_exists
 
-from tests.strategies import json_documents
+from tests.strategies import json_documents, json_values
 
 
 def _truncate(img: bytes, fraction: float) -> bytes:
@@ -32,6 +33,22 @@ def _truncate(img: bytes, fraction: float) -> bytes:
 def _stomp(img: bytes, position: float, value: int) -> bytes:
     at = int((len(img) - 1) * position)
     return img[:at] + bytes([value]) + img[at + 1:]
+
+
+#: what the operator fuzz projects and probes: every field as a scalar
+#: column, as a NESTED PATH over its elements, and as a filtered probe
+_FIELDS = ["a", "b", "c"]
+_FIELD_TABLE = JsonTable("$", [
+    *[ColumnDef(f"c_{name}", "varchar2(40)", f"$.{name}")
+      for name in _FIELDS],
+    *[NestedPath(f"$.{name}[*]",
+                 [ColumnDef(f"n_{name}", "number", "$"),
+                  *[ColumnDef(f"n_{name}_{inner}", "number", f"$.{inner}")
+                    for inner in _FIELDS]])
+      for name in _FIELDS]])
+_FIELD_PROBES = [
+    lambda data, path=f"$.{name}[*].{inner}?(@ > 0)": json_exists(data, path)
+    for name in _FIELDS for inner in _FIELDS]
 
 
 class TestOson:
@@ -66,6 +83,25 @@ class TestOson:
         except ReproError:
             assert has_errors(diagnostics), \
                 "verifier accepted an image the decoder rejects"
+
+
+    @given(st.dictionaries(st.sampled_from(_FIELDS),
+                           json_values(max_leaves=6), min_size=1),
+           st.floats(0, 1), st.integers(0, 255), st.floats(0.5, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_operators_over_mutants_raise_only_repro_errors(
+            self, doc, position, value, fraction):
+        """The scan kernel and the JSON_EXISTS probes read containers in
+        bulk (one unpack per node): over stomped and truncated images
+        they answer or raise a repro error — never ``struct.error`` /
+        ``IndexError`` from an unchecked extent."""
+        stomped = _stomp(oson_encode(doc), position, value)
+        for img in (stomped, _truncate(stomped, fraction)):
+            for operator in [_FIELD_TABLE.rows] + _FIELD_PROBES:
+                try:
+                    operator(img)
+                except ReproError:
+                    pass
 
 
 def _bson_normalize(value):

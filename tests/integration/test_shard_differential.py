@@ -13,7 +13,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import oson
 from repro.engine import CLOB, Column, Database, NUMBER, Query, expr
+from repro.engine.types import BLOB
 from repro.errors import QueryError
 from repro.jsontext import dumps
 from repro.storage.files import MemoryFileSystem
@@ -87,29 +89,38 @@ def baseline(documents):
     return PoOlapQueries(mv, dmdv), PoQueryParams(documents)
 
 
-def sharded_queries(documents, shards):
+#: JSON column storage: (SQL type, encoder).  An OSON ``BLOB`` reaches
+#: the shard guides as a ``{"$raw": <hex>}`` wrapper — an object the
+#: guide cannot see into — so pruning on it must be off (known gap G1:
+#: every shard was pruned and q3-q6/q8 came back empty)
+ENCODINGS = {"text": (CLOB, dumps), "oson": (BLOB, oson.encode)}
+
+
+def sharded_queries(documents, shards, encoding="text"):
+    sql_type, encode = ENCODINGS[encoding]
     fs = MemoryFileSystem()
     db = Database()
     table = db.create_table(
-        "po", [Column("did", NUMBER), Column("jdoc", CLOB)],
+        "po", [Column("did", NUMBER), Column("jdoc", sql_type)],
         durable="/po", fs=fs, shards=shards, routing_field="did")
-    table.insert_many([{"did": i, "jdoc": dumps(doc)}
+    table.insert_many([{"did": i, "jdoc": encode(doc)}
                        for i, doc in enumerate(documents)])
     mv, dmdv = build_po_views(db, table, "jdoc", f"s{shards}")
     return PoOlapQueries(mv, dmdv), table
 
 
 class TestFigure3Parity:
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_olap_suite_matches_unsharded(self, documents, baseline,
-                                          shards):
+                                          shards, encoding):
         reference, params = baseline
-        queries, table = sharded_queries(documents, shards)
+        queries, table = sharded_queries(documents, shards, encoding)
         try:
             for qid in QUERIES:
                 expected = canon(run_olap(reference, params, qid))
                 actual = canon(run_olap(queries, params, qid))
-                assert actual == expected, (qid, shards)
+                assert actual == expected, (qid, shards, encoding)
         finally:
             table.close()
 

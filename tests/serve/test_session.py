@@ -2,16 +2,20 @@
 deadlines, cancellation, overload shedding, asyncio integration."""
 
 import asyncio
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.engine.catalog import Database
+from repro.engine import expr
 from repro.engine.query import Query
 from repro.engine.table import Column
 from repro.errors import (Cancelled, Overloaded, QueryTimeout,
                           SessionClosed)
+from repro.obs import metrics as obs_metrics
 from repro.serve import CancelToken, Server
 from repro.serve.session import _SnapshotView
 from repro.storage import MemoryFileSystem
@@ -250,3 +254,70 @@ class TestSnapshotView:
         before = sorted(row["id"] for row in view.scan())
         table.insert({"id": 99, "note": "later"})
         assert sorted(row["id"] for row in view.scan()) == before
+
+    def test_imc_bound_table_serves_sql_through_the_cache(self, served):
+        """Known gap G2: the plan rewrite found the IMC binding through
+        the view but could not scan through it (AttributeError)."""
+        from repro.imc import IMCStore
+
+        server, db, table = served
+        IMCStore().bind(table)
+        columns_read = obs_metrics.counter("imc.columns_read")
+        with server.session() as session:
+            before = columns_read.value
+            by_sql = session.execute(
+                "SELECT id, note FROM po WHERE id = 2").fetchall()
+            assert columns_read.value == before + 2  # the IMC scan ran
+            by_query = session.execute_query(
+                Query(table).where(expr.Col("id") == 2)
+                .select("id", "note")).fetchall()
+            assert by_sql == by_query == [{"id": 2, "note": "two"}]
+
+    def test_imc_does_not_leak_past_a_stale_pin(self, served):
+        """The cache serves the table's current state: behind an older
+        pin the session must keep reading its snapshot's rows."""
+        from repro.imc import IMCStore
+
+        server, db, table = served
+        IMCStore().bind(table)
+        reader, writer = server.session(), server.session()
+        assert ids(reader.execute("SELECT id FROM po")) == [1, 2]
+        writer.insert("po", {"id": 3, "note": "three"})
+        assert ids(reader.execute("SELECT id FROM po")) == [1, 2]
+        reader.refresh()
+        assert ids(reader.execute("SELECT id FROM po")) == [1, 2, 3]
+
+
+class TestCursorRelease:
+    """Known gap G3: a session kept every cursor, rows included, until
+    it closed."""
+
+    def test_finished_cursor_is_not_kept_alive(self, served):
+        server, db, table = served
+        with server.session() as session:
+            cursor = session.execute("SELECT id FROM po")
+            cursor.fetchall()
+            cursor.close()
+            alive = weakref.ref(cursor)
+            del cursor
+            gc.collect()
+            assert alive() is None
+
+    def test_long_lived_session_stays_bounded(self, served):
+        server, db, table = served
+        with server.session() as session:
+            for _ in range(2000):
+                assert session.execute(
+                    "SELECT id FROM po WHERE id = 1").fetchone() == {"id": 1}
+                assert len(session._cursors) <= 1
+            assert not session._cursors
+
+    def test_close_still_cancels_statements_in_flight(self, served):
+        server, db, table = served
+        session = server.session()
+        cursor = session.cursor()
+        cursor.execute("SELECT id FROM po")
+        assert cursor in session._cursors  # not fetched yet: tracked
+        session.close()
+        assert cursor._token.cancelled and not session._cursors
+
