@@ -322,8 +322,8 @@ def _run_olap(view, partno, partnos, mode):
 #: the caches the pre-PR engine did not have; the path-parse cache stays
 #: enabled in the ablated run because the seed engine already memoized
 #: path compilation
-_PR3_CACHES = ["oson.document", "oson.dictionary_intern",
-               "sqljson.oson_adapter", "sqljson.jsontable_rows"]
+_PR3_CACHES = ["oson.dictionary_intern", "sqljson.oson_adapter",
+               "sqljson.jsontable_rows"]
 
 ROUNDS = 3
 

@@ -1,10 +1,10 @@
 """Cache instrumentation: named hit/miss/eviction counters and bounded maps.
 
 Every cache on the query hot path — the path-compilation memo, the OSON
-document/adapter cache, the interned dictionary-segment cache, the
-field-id resolution look-back — registers a :class:`CacheCounters`
-record here, so benchmarks and the ``BENCH_results.json`` emitter can
-report hit rates for one run without reaching into each subsystem.
+adapter cache, the DMDV row cache, the interned dictionary-segment cache
+— registers a :class:`CacheCounters` record here, so benchmarks and the
+``BENCH_results.json`` emitter can report hit rates for one run without
+reaching into each subsystem.
 The whole registry also feeds the unified observability export: it is
 registered as the ``cache_counters`` provider section of
 :func:`repro.obs.metrics.snapshot_metrics`.
@@ -12,10 +12,9 @@ registered as the ``cache_counters`` provider section of
 :class:`BoundedCache` is the shared bounded-LRU building block: an
 insertion-capped ordered map that counts hits, misses and evictions and
 can be disabled wholesale (the ablation benchmarks measure the pre-cache
-baseline that way).  :class:`IdentityCache` is the variant keyed by
-object identity for unhashable or large keys (raw document buffers): it
-pins a strong reference to the key object so a recycled ``id()`` can
-never alias a dead key.
+baseline that way).  Keys compare by value, document images included:
+CPython stores a ``bytes`` object's hash, so a resident image hashes
+once and an equal copy (a snapshot's, a shard's) finds the same entry.
 
 **Thread safety.**  Tracing hooks and future sharded executors probe
 these caches from worker threads, so every mutation is serialized:
@@ -27,16 +26,17 @@ these caches from worker threads, so every mutation is serialized:
   half the tallies;
 * counter increments go through locked ``record_*`` methods (a bare
   ``hits += 1`` is a read-modify-write the GIL may interleave);
-* ``get``/``put``/``clear`` hold the cache's lock for their whole
-  critical section — an LRU probe mutates the map (``move_to_end``), so
-  there is no safe lock-free read of the entries themselves.  The only
-  lock-free read on the probe path is the ``enabled`` flag check.
+* a cache and its counters record share one lock, and
+  ``get``/``put``/``clear`` hold it for their whole critical section,
+  tally included — an LRU probe mutates the map (``move_to_end``), so
+  there is no safe lock-free read of the entries, and a probe costs one
+  acquisition, not one for the map and one for the tally.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.obs import locks as _locks
 from repro.obs import metrics as _obs_metrics
@@ -136,7 +136,7 @@ def reset_all() -> None:
         record.reset()
 
 
-#: cache name -> live cache object (BoundedCache / IdentityCache); lets
+#: cache name -> live :class:`BoundedCache`; lets
 #: the ablation harness flip ``enabled`` on a subsystem's caches without
 #: importing each owning module's private global
 # guarded-by: _REGISTRY_LOCK
@@ -183,11 +183,12 @@ class BoundedCache:
     unregistering its counters — the ablation benchmarks flip this to
     measure the uncached baseline.
 
-    All entry access is serialized under one per-cache lock (see the
-    module docstring); the ``enabled`` check stays outside it.
+    All entry access and its tally are serialized under one lock, the
+    counters record's (see the module docstring).
     """
 
-    __slots__ = ("counters", "maxsize", "enabled", "_entries", "_lock")
+    __slots__ = ("counters", "maxsize", "enabled", "_entries", "_lock",
+                 "_doomed")
 
     def __init__(self, name: str, maxsize: int) -> None:
         if maxsize <= 0:
@@ -197,29 +198,32 @@ class BoundedCache:
         self.enabled = True
         # guarded-by: _lock
         self._entries: OrderedDict[Any, Any] = OrderedDict()
-        self._lock = _locks.make_lock(f"core.counters.cache.{name}")
+        self._lock = self.counters._lock
+        #: key predicates queued by :meth:`discard` (appended lock-free)
+        self._doomed: List[Callable[[Any], bool]] = []
         _register_cache(name, self)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            self._sweep()
+            return len(self._entries)
 
     def get(self, key: Any) -> Optional[Any]:
-        if not self.enabled:
-            self.counters.record_miss()
-            return None
+        counters = self.counters
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(key) if self.enabled else None
             if entry is None:
-                self.counters.record_miss()
+                counters.misses += 1
                 return None
             self._entries.move_to_end(key)
-        self.counters.record_hit()
+            counters.hits += 1
         return entry
 
     def put(self, key: Any, value: Any) -> None:
         if not self.enabled:
             return
         with self._lock:
+            self._sweep()
             entries = self._entries
             if key in entries:
                 entries.move_to_end(key)
@@ -227,71 +231,23 @@ class BoundedCache:
                 return
             if len(entries) >= self.maxsize:
                 entries.popitem(last=False)
-                self.counters.record_eviction()
+                self.counters.evictions += 1
             entries[key] = value
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+    def discard(self, doomed: Callable[[Any], bool]) -> None:
+        """Drop every entry whose key ``doomed`` accepts — at the next
+        ``put`` or ``len``, not now: this is what a ``weakref.finalize``
+        of a key's owner calls, and the collector may run a finalizer on
+        a thread that is inside this cache's critical section."""
+        self._doomed.append(doomed)
 
-
-class IdentityCache:
-    """A bounded LRU map keyed by object identity.
-
-    Used for caches whose natural key is a large immutable buffer (OSON
-    images): hashing the bytes on every probe would cost O(len), so the
-    key is ``id(obj)`` and each entry pins the key object itself.  The
-    pinned reference keeps the id from being recycled while the entry
-    lives; a stale-id probe can therefore never return another object's
-    value (the ``is`` check is structural, not defensive).
-
-    Locking mirrors :class:`BoundedCache`.
-    """
-
-    __slots__ = ("counters", "maxsize", "enabled", "_entries", "_lock")
-
-    def __init__(self, name: str, maxsize: int) -> None:
-        if maxsize <= 0:
-            raise ValueError(f"cache {name} needs a positive maxsize")
-        self.counters = counters_for(name)
-        self.maxsize = maxsize
-        self.enabled = True
-        # guarded-by: _lock
-        self._entries: OrderedDict[int, tuple[Any, Any]] = OrderedDict()
-        self._lock = _locks.make_lock(f"core.counters.cache.{name}")
-        _register_cache(name, self)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, obj: Any) -> Optional[Any]:
-        if not self.enabled:
-            self.counters.record_miss()
-            return None
-        key = id(obj)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry[0] is not obj:
-                self.counters.record_miss()
-                return None
-            self._entries.move_to_end(key)
-        self.counters.record_hit()
-        return entry[1]
-
-    def put(self, obj: Any, value: Any) -> None:
-        if not self.enabled:
-            return
-        key = id(obj)
-        with self._lock:
-            entries = self._entries
-            if key in entries:
-                entries.move_to_end(key)
-                entries[key] = (obj, value)
-                return
-            if len(entries) >= self.maxsize:
-                entries.popitem(last=False)
-                self.counters.record_eviction()
-            entries[key] = (obj, value)
+    @_locks.guarded_by("_lock")
+    def _sweep(self) -> None:
+        """Apply the queued :meth:`discard` predicates."""
+        while self._doomed:
+            doomed = self._doomed.pop()
+            for key in [key for key in self._entries if doomed(key)]:
+                del self._entries[key]
 
     def clear(self) -> None:
         with self._lock:

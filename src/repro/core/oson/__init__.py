@@ -10,7 +10,9 @@ scalar value segment.  Public surface:
   precomputation and single-row look-back optimizations;
 * :func:`navigate` / :class:`NavProgram` — compiled partial-decode path
   navigation straight over the binary image (no DOM);
-* :func:`cached_document` — identity-keyed decoded-document cache;
+* :func:`open_document` — a document opened for a query, counted in
+  ``oson.document.decodes`` (the caches above it are keyed by image
+  *value*: ``sqljson.oson_adapter`` and ``sqljson.jsontable_rows``);
 * :class:`OsonUpdater` — partial leaf-scalar updates;
 * :mod:`~repro.core.oson.stats` — segment size accounting (Tables 10/11);
 * :class:`SharedDictionaryStore` — the section-7 set-encoding prototype.
@@ -19,7 +21,7 @@ scalar value segment.  Public surface:
 from repro.core.oson.cache import (
     CompiledFieldName,
     FieldIdResolver,
-    cached_document,
+    open_document,
 )
 from repro.core.oson.decoder import OsonDocument, decode
 from repro.core.oson.dictionary import FieldDictionary
@@ -44,9 +46,9 @@ __all__ = [
     "NavProgram",
     "OsonUpdater",
     "SharedDictionaryStore",
-    "cached_document",
     "field_name_hash",
     "navigate",
     "navigation_enabled",
+    "open_document",
     "set_navigation_enabled",
 ]

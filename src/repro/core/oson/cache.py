@@ -14,9 +14,8 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from repro.core.counters import IdentityCache
 from repro.core.oson.decoder import OsonDocument
 from repro.core.oson.hashing import field_name_hash
 from repro.obs import metrics as _metrics
@@ -87,31 +86,15 @@ class FieldIdResolver:
         return field_id
 
 
-#: decoded documents keyed by buffer identity: OLAP queries walk the same
-#: OSON images over and over (json_exists pushdown + json_table expansion
-#: per query), and header+dictionary parsing per touch used to dominate
-_DOCUMENTS = IdentityCache("oson.document", maxsize=1024)
-
-#: header+dictionary parses actually performed (the cost the document
-#: cache exists to avoid); EXPLAIN ANALYZE reports this per operator
+#: header+dictionary parses performed on behalf of a query (the cost the
+#: adapter and DMDV row caches exist to avoid); EXPLAIN ANALYZE reports
+#: this per operator
 _DECODES = _metrics.counter("oson.document.decodes")
 
 
-def cached_document(data: Union[bytes, "OsonDocument"]) -> OsonDocument:
-    """An :class:`OsonDocument` over ``data``, cached by buffer identity.
-
-    Only immutable ``bytes`` are cached (a ``bytearray`` could be mutated
-    behind the cache's back); the cache holds strong references, bounded
-    by LRU eviction.
-    """
-    if isinstance(data, OsonDocument):
-        return data
-    if type(data) is not bytes:
-        _DECODES.inc()
-        return OsonDocument(bytes(data))
-    doc = _DOCUMENTS.get(data)
-    if doc is None:
-        _DECODES.inc()
-        doc = OsonDocument(data)
-        _DOCUMENTS.put(data, doc)
-    return doc
+def open_document(data: bytes) -> OsonDocument:
+    """An :class:`OsonDocument` over ``data``, counted in
+    ``oson.document.decodes``.  Nothing is cached here: the one cache of
+    decoded images is ``sqljson.oson_adapter``, keyed by image value."""
+    _DECODES.inc()
+    return OsonDocument(data)

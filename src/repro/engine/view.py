@@ -140,11 +140,12 @@ class JsonTableView(View):
         predicate (a document passes if *any* nested row matches), so the
         engine still applies the original WHERE afterwards.
 
-        The pushdown paths compile once per scan and each non-text
-        document's adapter is built once and shared by every predicate
-        probe plus the JSON_TABLE expansion; textual documents keep
-        paying the per-operator parse, which is exactly the TEXT-mode
-        cost the paper charges.
+        The pushdown paths compile once per scan.  A binary document
+        whose expansion is memoized skips all of it (one row-cache
+        lookup on the column value); on a miss its adapter is built once
+        and shared by every predicate probe plus the JSON_TABLE
+        expansion.  Textual documents keep paying the per-operator
+        parse, which is exactly the TEXT-mode cost the paper charges.
         """
         return self._expand_rows(self.table.scan(), exists_paths)
 
@@ -168,17 +169,17 @@ class JsonTableView(View):
                 if exists_paths is not None:
                     if not all(json_exists(data, p) for p in exists_paths):
                         continue
-                json_rows = json_table.rows(data)
+                json_rows = json_table.expand(adapter_for(data))
             else:
-                adapter = adapter_for(data)
-                # a memoized DMDV expansion beats even the pushdown
-                # probe; the engine's residual WHERE keeps results exact
-                json_rows = json_table.cached_rows(adapter)
+                # a memoized DMDV expansion is one lookup on the raw
+                # column value: no adapter, no pushdown probe, no decode
+                json_rows = json_table.probe(data)
                 if json_rows is None:
+                    adapter = adapter_for(data)
                     if evaluators is not None and not all(
                             _exists_quiet(e, adapter) for e in evaluators):
                         continue
-                    json_rows = json_table.rows_with_adapter(adapter)
+                    json_rows = json_table.expand(adapter, data)
             for json_row in json_rows:
                 out = {name: base_row[name] for name in include_columns}
                 out.update(json_row)

@@ -28,9 +28,9 @@ from repro.bson.decoder import (
     KIND_OBJECT,
     KIND_SCALAR,
 )
-from repro.core.counters import IdentityCache
+from repro.core.counters import BoundedCache
 from repro.core.oson import constants as oson_constants
-from repro.core.oson.cache import CompiledFieldName, FieldIdResolver, cached_document
+from repro.core.oson.cache import CompiledFieldName, FieldIdResolver, open_document
 from repro.core.oson.decoder import OsonDocument
 
 #: adapter-level node kinds
@@ -228,11 +228,13 @@ class BsonAdapter:
         return node.materialize()
 
 
-#: OSON adapters cached by buffer identity: an OLAP query touches the
-#: same image once per pushdown predicate plus once per JSON_TABLE
-#: expansion, and each touch used to re-parse the header+dictionary and
-#: rebuild the adapter
-_OSON_ADAPTERS = IdentityCache("sqljson.oson_adapter", maxsize=1024)
+#: OSON adapters (decoded header + dictionary + resolver) cached by image
+#: *value*: a JSON_TABLE miss touches the same image once per pushdown
+#: predicate plus once for the expansion, and an equal copy of a resident
+#: image (a snapshot's or a shard's) finds the adapter the live heap
+#: built — a ``bytes`` object stores its hash, so the resident image
+#: hashes once and a copy pays one hash + ``memcmp``
+_OSON_ADAPTERS = BoundedCache("sqljson.oson_adapter", maxsize=1024)
 
 
 def adapter_for(value: Any) -> Any:
@@ -243,16 +245,15 @@ def adapter_for(value: Any) -> Any:
     if isinstance(value, BsonDocument):
         return BsonAdapter(value)
     if isinstance(value, (bytes, bytearray)):
-        data = bytes(value)
-        if data[:4] == oson_constants.MAGIC:
-            if data is value:  # immutable input: safe to cache by identity
-                adapter = _OSON_ADAPTERS.get(data)
-                if adapter is None:
-                    adapter = OsonAdapter(cached_document(data))
-                    _OSON_ADAPTERS.put(data, adapter)
-                return adapter
-            return OsonAdapter(OsonDocument(data))
-        return BsonAdapter(BsonDocument(data))
+        if value[:4] != oson_constants.MAGIC:
+            return BsonAdapter(BsonDocument(bytes(value)))
+        if type(value) is not bytes:  # mutable: nothing to key a cache by
+            return OsonAdapter(open_document(bytes(value)))
+        adapter = _OSON_ADAPTERS.get(value)
+        if adapter is None:
+            adapter = OsonAdapter(open_document(value))
+            _OSON_ADAPTERS.put(value, adapter)
+        return adapter
     if isinstance(value, str):
         from repro.jsontext import loads
         return DictAdapter(loads(value))

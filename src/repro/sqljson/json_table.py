@@ -30,6 +30,8 @@ The row source implements the volcano-style iterator API of section 5.1:
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
@@ -253,19 +255,29 @@ class _CompiledNode:
 
 #: in-memory DMDV materialization (sections 3.3.2 / 6.2): the JSON_TABLE
 #: expansion of an immutable OSON image is a pure function of
-#: (table definition, image), so expansions are memoized per
-#: (JsonTable, adapter) identity.  Both objects are pinned inside the
-#: entry, which keeps the ids stable for the entry's lifetime; a new
-#: image (document update) is a new bytes object and therefore a new
-#: adapter, so staleness is impossible.  TEXT documents are deliberately
-#: excluded: the paper's TEXT cost model re-parses per operator.
+#: (table definition, image), so expansions are memoized under
+#: ``(JsonTable serial, image)`` — the table by identity, the image an
+#: exact ``bytes`` compared by value.  An updated document is a different
+#: image, so staleness is impossible, and any equal copy of a resident
+#: image (a pinned snapshot's, a shard's) finds the same rows.  An entry
+#: holds the rows and nothing else; a table's entries go when it dies.
+#: Everything that is not an exact ``bytes`` OSON image bypasses the
+#: cache without inserting: TEXT by design (the paper's TEXT cost model
+#: re-parses per operator), mutable buffers and pre-built documents
+#: because there is no immutable value to key them by.
 _ROW_CACHE = BoundedCache("sqljson.jsontable_rows", maxsize=4096)
+
+_SERIALS = itertools.count(1)
 
 #: documents actually expanded (cache misses) and rows they produced;
 #: together with the ``sqljson.jsontable_rows`` cache counters these
 #: give EXPLAIN ANALYZE the DMDV effectiveness picture per operator
 _DOCS_EXPANDED = _metrics.counter("sqljson.jsontable.docs_expanded")
 _ROWS_PRODUCED = _metrics.counter("sqljson.jsontable.rows_produced")
+
+
+def _discard_rows_of(serial: int) -> None:
+    _ROW_CACHE.discard(lambda key: key[0] == serial)
 
 
 class JsonTable:
@@ -282,20 +294,38 @@ class JsonTable:
         #: column name -> absolute document path, used by the engine to
         #: push WHERE predicates down as JSON_EXISTS path filters
         self.absolute_paths: dict[str, str] = dict(self._root.absolute_paths)
+        #: this table's half of its row-cache keys (never reused, unlike
+        #: ``id()``); the cache does not pin the table, and the finalizer
+        #: set with the first memoized expansion drops its entries
+        self._serial = next(_SERIALS)
+        self._purge: Optional[weakref.finalize] = None
 
     # -- bulk API ------------------------------------------------------------
 
     def rows(self, data: Any) -> list[dict[str, Any]]:
-        """All output rows for one document, as name -> value dicts."""
-        return self.rows_with_adapter(adapter_for(data))
+        """All output rows for one document, as name -> value dicts the
+        caller owns."""
+        shared = self.probe(data)
+        if shared is None:
+            shared = self.expand(adapter_for(data), data)
+        return [dict(row) for row in shared]
 
-    def rows_with_adapter(self, adapter: Any) -> list[dict[str, Any]]:
-        """Like :meth:`rows` for a pre-built adapter — scans that apply
-        several operators per document (JSON_EXISTS pushdown followed by
-        expansion) build the adapter once and reuse it here."""
-        cached = self.cached_rows(adapter)
-        if cached is not None:
-            return cached
+    def probe(self, data: Any) -> Optional[list[dict[str, Any]]]:
+        """The memoized expansion of ``data``, or None — one cache
+        lookup, nothing decoded.  The rows are the cache's own: read,
+        never mutate.  Scans probe before anything else, the JSON_EXISTS
+        pushdown included (the engine's residual WHERE keeps results
+        exact)."""
+        if type(data) is not bytes:
+            return None
+        return _ROW_CACHE.get((self._serial, data))
+
+    def expand(self, adapter: Any, image: Any = None) -> list[dict[str, Any]]:
+        """Expand one document through a pre-built adapter — scans that
+        apply several operators per document (JSON_EXISTS pushdown, then
+        expansion) build it once.  With ``image`` the exact ``bytes`` the
+        adapter was built from, the rows are memoized under it and are
+        shared like :meth:`probe`'s."""
         # the scan kernel reads binary images directly; it is on exactly
         # when partial-decode navigation is (ablation 6, DOM-route oracle)
         kernel = type(adapter) is OsonAdapter and navigation_enabled()
@@ -311,22 +341,12 @@ class JsonTable:
         _DOCS_EXPANDED.inc()
         _ROWS_PRODUCED.inc(len(out))
         _trace.current_span().record("jsontable_rows", len(out))
-        if type(adapter) is OsonAdapter:
-            # store a private copy: callers may mutate the rows they get
-            _ROW_CACHE.put((id(self), id(adapter)),
-                           (adapter, [dict(row) for row in out], self))
+        if type(image) is bytes and type(adapter) is OsonAdapter:
+            if self._purge is None:
+                self._purge = weakref.finalize(self, _discard_rows_of,
+                                               self._serial)
+            _ROW_CACHE.put((self._serial, image), out)
         return out
-
-    def cached_rows(self, adapter: Any) -> Optional[list[dict[str, Any]]]:
-        """The memoized expansion for an immutable binary adapter, or
-        None.  Scans use this to skip even the JSON_EXISTS pushdown probe
-        (the engine's residual WHERE keeps results exact)."""
-        if type(adapter) is not OsonAdapter:
-            return None
-        cached = _ROW_CACHE.get((id(self), id(adapter)))
-        if cached is not None and cached[0] is adapter:
-            return [dict(row) for row in cached[1]]
-        return None
 
     def iter_rows(self, documents: Any) -> Iterator[dict[str, Any]]:
         """Rows across an iterable of documents."""

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.counters import (
     BoundedCache,
-    IdentityCache,
     cache_named,
     counters_for,
     restore_caches_enabled,
@@ -68,28 +67,43 @@ class TestBoundedCache:
             BoundedCache("test.bad", maxsize=0)
 
 
-class TestIdentityCache:
-    def test_keyed_by_identity_not_equality(self):
-        cache = IdentityCache("test.identity", maxsize=4)
+class TestValueKeys:
+    """Document images are cache keys by value (the cache that keyed
+    them by ``id()`` is gone)."""
+
+    def test_equal_bytes_share_one_entry(self):
+        cache = BoundedCache("test.value", maxsize=4)
         key_a = b"same-bytes"
         # bytes(bytes) returns the same object in CPython; round-trip
         # through bytearray to get an equal-but-distinct key
         key_b = bytes(bytearray(key_a))
         assert key_b == key_a and key_b is not key_a
         cache.put(key_a, "A")
-        assert cache.get(key_a) == "A"
-        assert cache.get(key_b) is None
+        assert cache.get(key_b) == "A"
+        cache.put(key_b, "B")
+        assert cache.get(key_a) == "B" and len(cache) == 1
 
-    def test_entry_pins_key_object(self):
-        cache = IdentityCache("test.pin", maxsize=2)
+    def test_entry_outlives_the_callers_key_object(self):
+        cache = BoundedCache("test.pin", maxsize=2)
         key = bytes(bytearray(b"pinned"))
         cache.put(key, 1)
-        key_id = id(key)
         del key
-        # the entry still holds the only reference, so the id cannot be
-        # recycled into a colliding new object while the entry lives
-        entry = cache._entries[key_id]
-        assert entry[1] == 1 and id(entry[0]) == key_id
+        # nothing depends on the original object's identity: a fresh
+        # equal key finds the entry, and no recycled id() can alias it
+        assert cache.get(bytes(bytearray(b"pinned"))) == 1
+        assert cache.get(bytes(bytearray(b"pinneD"))) is None
+
+    def test_discard_applies_at_next_put_or_len(self):
+        cache = BoundedCache("test.discard", maxsize=8)
+        for owner in (1, 2):
+            for image in (b"x", b"y"):
+                cache.put((owner, image), owner)
+        cache.discard(lambda key: key[0] == 1)
+        assert len(cache) == 2
+        assert cache.get((1, b"x")) is None and cache.get((2, b"x")) == 2
+        cache.discard(lambda key: key[0] == 2)
+        cache.put((3, b"x"), 3)
+        assert len(cache) == 1 and cache.counters.evictions == 0
 
 
 class TestEnableToggle:
@@ -109,8 +123,9 @@ class TestEnableToggle:
     def test_hot_path_caches_are_registered(self):
         # importing the sqljson stack registers every hot-path cache
         import repro.sqljson.adapters  # noqa: F401
+        import repro.sqljson.json_table  # noqa: F401
         for name in ("sqljson.path_parse", "sqljson.oson_adapter",
-                     "oson.document", "oson.dictionary_intern"):
+                     "sqljson.jsontable_rows", "oson.dictionary_intern"):
             assert cache_named(name) is not None, name
 
 
@@ -192,16 +207,19 @@ class TestThreadSafety:
         assert cache.counters.misses == total
         assert len(cache) <= cache.maxsize
 
-    def test_identity_cache_survives_churn(self):
-        cache = IdentityCache("test.race_identity", maxsize=8)
+    def test_value_keyed_cache_survives_churn(self):
+        cache = BoundedCache("test.race_value", maxsize=8)
         cache.counters.reset()
-        keys = [bytes(bytearray(b"key-%d" % i)) for i in range(16)]
 
         def work():
             for i in range(self.ROUNDS):
-                key = keys[i % len(keys)]
+                # a fresh equal-valued key per probe, as a snapshot or
+                # shard scan hands in, with discards racing the puts
+                key = (i % 3, bytes(bytearray(b"key-%d" % (i % 16))))
                 cache.put(key, i)
                 cache.get(key)
+                if i % 64 == 0:
+                    cache.discard(lambda key: key[0] == 2)
 
         self._hammer(work)
         assert len(cache) <= cache.maxsize

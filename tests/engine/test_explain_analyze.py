@@ -114,7 +114,6 @@ class TestExplainAnalyze:
         # cold-start: a warm DMDV row cache would skip document decode
         # and path navigation entirely
         cache_named("sqljson.jsontable_rows").clear()
-        cache_named("oson.document").clear()
         cache_named("sqljson.oson_adapter").clear()
         plan = (Query(dmdv)
                 .where(expr.Col("partno") == params.partno)
@@ -122,9 +121,12 @@ class TestExplainAnalyze:
         text = plan.mode(mode).explain(analyze=True)
         # predicate pushdown onto the DMDV view is visible in the plan
         assert "SCAN oson_item_dmdv (pushdown)" in text
-        # navigation-VM and document-cache activity is attributed to it
+        # navigation-VM, decode and cache activity is attributed to it
         assert "sqljson.path.vm_selects" in text
-        assert "cache oson.document" in text
+        assert "metric oson.document.decodes" in text
+        # one probe of each cache per document, all cold
+        assert "cache sqljson.jsontable_rows: misses=+" in text
+        assert "cache sqljson.oson_adapter: misses=+" in text
         take_spans()
 
     def test_cache_hits_appear_on_repeat(self, oson_views):

@@ -192,55 +192,106 @@ class TestRowSource:
 
 
 class TestDmdvRowCache:
-    """The bounded memoization of OSON expansions (the in-memory DMDV)."""
+    """The bounded memoization of OSON expansions (the in-memory DMDV),
+    keyed by (JsonTable identity, image value)."""
 
-    def test_oson_expansion_is_cached(self):
+    @pytest.fixture
+    def cache(self):
         from repro.core.counters import cache_named
-        from repro.sqljson.adapters import adapter_for
         cache = cache_named("sqljson.jsontable_rows")
         cache.counters.reset()
-        table = po_table()
-        adapter = adapter_for(oson_encode(PO_DOC))
-        first = table.rows_with_adapter(adapter)
-        second = table.rows_with_adapter(adapter)
-        assert first == second
-        assert cache.counters.hits >= 1
+        return cache
 
-    def test_cached_rows_are_private_copies(self):
-        from repro.sqljson.adapters import adapter_for
+    def test_oson_expansion_is_cached(self, cache):
         table = po_table()
-        adapter = adapter_for(oson_encode(PO_DOC))
-        first = table.rows_with_adapter(adapter)
-        first[0]["id"] = "corrupted"
-        second = table.rows_with_adapter(adapter)
-        assert second[0]["id"] == 1
+        image = oson_encode(PO_DOC)
+        assert table.probe(image) is None
+        first = table.rows(image)
+        assert table.rows(image) == first
+        assert (cache.counters.hits, cache.counters.misses) == (1, 2)
 
-    def test_text_documents_are_not_cached(self):
+    def test_equal_images_share_one_entry(self, cache):
         table = po_table()
-        assert table.cached_rows(dumps(PO_DOC)) is None
+        image = oson_encode(PO_DOC)
+        copy = bytes(bytearray(image))
+        assert copy == image and copy is not image
+        before = len(cache)
+        table.rows(image)
+        assert table.probe(copy) is table.probe(image) is not None
+        assert len(cache) == before + 1
+
+    def test_public_rows_are_private_copies(self):
+        table = po_table()
+        image = oson_encode(PO_DOC)
+        table.rows(image)[0]["id"] = "corrupted"   # the miss's rows
+        table.rows(image)[0]["id"] = "corrupted"   # a hit's rows
+        assert table.rows(image)[0]["id"] == 1
+        assert table.probe(image)[0]["id"] == 1
 
     def test_distinct_tables_do_not_share_entries(self):
-        from repro.sqljson.adapters import adapter_for
-        adapter = adapter_for(oson_encode(PO_DOC))
+        image = oson_encode(PO_DOC)
         wide = po_table()
         narrow = JsonTable("$", [ColumnDef("id", "number",
                                            "$.purchaseOrder.id")])
-        assert len(wide.rows_with_adapter(adapter)[0]) == 8
-        assert narrow.rows_with_adapter(adapter) == [{"id": 1}]
+        assert len(wide.rows(image)[0]) == 8
+        assert narrow.rows(image) == [{"id": 1}]
+        assert len(wide.rows(image)[0]) == 8
 
     def test_disabled_cache_recomputes(self):
         from repro.core.counters import (
             restore_caches_enabled,
             set_caches_enabled,
         )
-        from repro.sqljson.adapters import adapter_for
         table = po_table()
-        adapter = adapter_for(oson_encode(PO_DOC))
+        image = oson_encode(PO_DOC)
         previous = set_caches_enabled(
             False, names=["sqljson.jsontable_rows"])
         try:
-            rows = table.rows_with_adapter(adapter)
-            assert table.cached_rows(adapter) is None
-            assert rows == table.rows_with_adapter(adapter)
+            rows = table.rows(image)
+            assert table.probe(image) is None
+            assert rows == table.rows(image)
         finally:
             restore_caches_enabled(previous)
+
+    def test_entries_do_not_pin_the_table(self, cache):
+        """Regression: entries held ``(adapter, rows, self)``, so a
+        dropped table (and every image it had expanded) stayed resident
+        until 4096 newer entries pushed it out."""
+        import gc
+        import weakref
+        table = JsonTable("$", [ColumnDef("sku", "varchar2(30)")])
+        table.rows(oson_encode({"sku": "a"}))
+        resident = len(cache)
+        alive = weakref.ref(table)
+        del table
+        gc.collect()
+        assert alive() is None
+        assert len(cache) == resident - 1
+
+    def test_uncacheable_inputs_insert_nothing(self, cache):
+        """Regression: a ``bytearray`` or ``OsonDocument`` call built a
+        throw-away adapter and inserted rows under its ``id()`` — an
+        entry nobody could probe again, evicting a live one."""
+        from repro.core.oson import OsonDocument
+        table = po_table()
+        image = oson_encode(PO_DOC)
+        expected = table.rows(dumps(PO_DOC))           # text: no entry
+        assert table.rows(bson.encode(PO_DOC)) == expected  # nor BSON
+        resident, evictions = len(cache), cache.counters.evictions
+        for _ in range(50):
+            assert table.rows(bytearray(image)) == expected
+            assert table.rows(OsonDocument(image)) == expected
+        assert table.probe(bytearray(image)) is None
+        assert len(cache) == resident
+        assert cache.counters.evictions == evictions
+        assert cache.counters.hits == 0
+
+    def test_mutated_bytearray_is_never_served_stale(self):
+        from repro.core.oson import OsonUpdater
+        table = JsonTable("$", [ColumnDef("qty", "number")])
+        buffer = bytearray(oson_encode({"qty": 3}))
+        assert table.rows(buffer) == [{"qty": 3}]
+        updater = OsonUpdater(bytes(buffer))
+        updater.set_scalar_by_path(["qty"], 9)
+        buffer[:] = updater.to_bytes()
+        assert table.rows(buffer) == [{"qty": 9}]

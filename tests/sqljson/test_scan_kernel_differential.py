@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.counters import cache_named
 from repro.core.oson import OsonDocument, decode, encode, set_navigation_enabled
 from repro.core.oson import constants as c
 from repro.core.oson.dictionary import FieldDictionary
@@ -115,12 +114,11 @@ _TABLES = st.tuples(_ROW_PATHS, _column_specs()).map(
 
 
 def kernel_rows(table, adapter):
-    cache_named("sqljson.jsontable_rows").clear()
-    return table.rows_with_adapter(adapter)
+    return table.expand(adapter)
 
 
 def per_column_rows(table, adapter):
-    """``JsonTable.rows_with_adapter`` with the kernel switched off for
+    """``JsonTable.expand`` with the kernel switched off for
     this call only: each column through its own path evaluator."""
     out = []
     for context in table._root.evaluator.select(adapter):
@@ -130,10 +128,9 @@ def per_column_rows(table, adapter):
 
 
 def dom_rows(table, adapter):
-    cache_named("sqljson.jsontable_rows").clear()
     previous = set_navigation_enabled(False)
     try:
-        return table.rows_with_adapter(adapter)
+        return table.expand(adapter)
     finally:
         set_navigation_enabled(previous)
 
