@@ -11,10 +11,11 @@ rules** before execution:
 2. *scatter-gather* (:class:`ScatterRule`): over a sharded source
    (anything exposing ``shard_plan()``), the maximal
    scan→filter→project[→group-by] prefix fuses into one
-   :class:`ScatterNode` that runs per-shard morsel pipelines on a
-   worker pool and merges partial aggregate states; partition pruning
-   is decided **at rewrite time** from the per-shard DataGuides, so
-   even a plain ``explain()`` shows ``shards=N pruned=M``;
+   :class:`ScatterNode` that runs per-shard morsel pipelines one after
+   another on the statement's thread and merges partial aggregate
+   states; partition pruning is decided **at rewrite time** from the
+   per-shard DataGuides, so even a plain ``explain()`` shows
+   ``shards=N pruned=M``;
 3. *IMC projection pushdown* (:class:`IMCScanRule`): a scan of a table
    bound into an :class:`~repro.imc.store.IMCStore` whose
    scan→[filter…]→(project | group-by) prefix references a provable
@@ -273,7 +274,7 @@ class UnionAllNode(PlanNode):
 
 class ScatterNode(PlanNode):
     """A fused scan→filter→project[→group-by] prefix executed
-    shard-parallel with partition pruning (built by
+    shard by shard with partition pruning (built by
     :class:`ScatterRule`; execution in :mod:`repro.engine.scatter`).
 
     Pruning decisions are taken at construction from per-shard
@@ -365,27 +366,19 @@ class LogicalPlan:
         every source row and, when operators exist, every result row —
         the contract :meth:`Query.instrumented` documents."""
         head, tail = self.nodes[0], self.nodes[1:]
-        if isinstance(head, ScatterNode):
+        scatter = isinstance(head, ScatterNode)
+        if scatter:
             head.hook = hook
             if scatter_policy is not None:
                 head.policy = scatter_policy
         rows = head.execute(iter(()), morsel)
-        if hook is not None and not isinstance(head, ScatterNode):
-            rows = _hooked(rows, hook)
+        if hook is not None and not scatter:
+            rows = scattermod.hooked(rows, hook)
         for node in tail:
             rows = node.execute(rows, morsel)
-        if hook is not None and tail:
-            rows = _hooked(rows, hook)
-        elif hook is not None and isinstance(head, ScatterNode):
-            rows = _hooked(rows, hook)
+        if hook is not None and (tail or scatter):
+            rows = scattermod.hooked(rows, hook)
         return rows
-
-
-def _hooked(rows: Iterator[Row],
-            hook: Callable[[Row], None]) -> Iterator[Row]:
-    for row in rows:
-        hook(row)
-        yield row
 
 
 # -- building ---------------------------------------------------------------

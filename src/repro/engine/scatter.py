@@ -1,6 +1,6 @@
 """Scatter-gather execution over sharded sources, with partition pruning.
 
-A source that can execute shard-parallel exposes ``shard_plan()``
+A source that can execute shard by shard exposes ``shard_plan()``
 returning a :class:`ShardPlanInfo`: one row stream per shard (each
 pinned to that shard's snapshot), the shard's covering DataGuide, and
 the column→path / routing metadata the pruner needs.  The planner's
@@ -15,24 +15,27 @@ this module supplies its two halves:
   rule errs toward scanning: a shard is skipped only when its guide
   *proves* no document can satisfy the predicate.
 * :func:`execute_scatter` — run the fused per-shard pipeline (the 1k-row
-  morsel executor) on a worker pool, one task per surviving shard, and
-  gather: group-by states merge through
-  :func:`~repro.engine.executor.gather_group_partials` in shard-index
-  order (deterministic output order), plain row pipelines concatenate
-  in shard-index order.
+  morsel executor) over each surviving shard in shard-index order on
+  the statement's own thread, and gather: group-by states merge through
+  :func:`~repro.engine.executor.gather_group_partials` (deterministic
+  output order), plain row pipelines concatenate.  Every pipeline is
+  pure-Python CPU work over an in-memory snapshot, so threads would
+  only take turns on the interpreter lock; the multi-core shape is
+  process-parallel workers over the serialized-partials contract
+  (DESIGN §10.5).
 
 ``engine.scatter.shards_scanned`` / ``engine.scatter.shards_pruned``
 count every scatter execution and surface per-query in EXPLAIN ANALYZE
 as metric deltas.
 
-Fault tolerance (:class:`ScatterPolicy`): each shard worker retries
+Fault tolerance (:class:`ScatterPolicy`): each shard scan retries
 transient faults under the seeded backoff schedule (retry time charged
 to the query's ``CancelToken`` deadline via the token's lookahead
 check), reports outcomes to the store's health board, and the gather
-applies the caller's ``on_shard_failure`` policy — ``"fail"`` sets the
-shared abort flag so in-flight siblings stop at their next row and the
-first failure propagates typed; ``"partial"`` returns the surviving
-shards' rows as :class:`DegradedRows` carrying an explicit
+applies the caller's ``on_shard_failure`` policy — ``"fail"`` raises
+the first failure typed and opens no later shard; ``"partial"`` runs
+every other shard and returns the surviving shards' rows as
+:class:`DegradedRows` carrying an explicit
 :class:`~repro.errors.DegradedResult` marker (never silent:
 ``engine.scatter.shards_failed`` rides EXPLAIN ANALYZE next to
 ``shards_scanned``/``shards_pruned``).
@@ -40,11 +43,8 @@ shards' rows as :class:`DegradedRows` carrying an explicit
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 if TYPE_CHECKING:  # imported lazily to stay out of the package cycle
     from repro.core.dataguide.guide import DataGuide
@@ -108,7 +108,7 @@ class ShardPlanInfo:
     contributes nothing to pruning.  ``shard_of_value`` is the router's
     placement function when a routing field exists.  ``health`` is the
     source store's :class:`~repro.storage.health.ShardHealthBoard`
-    (None for unsharded-compatible callers): scatter workers consult it
+    (None for unsharded-compatible callers): shard scans consult it
     fail-fast and report read outcomes to it, so read- and write-side
     failures feed one state machine.
     """
@@ -296,7 +296,7 @@ class ScatterPolicy:
     """How a scatter execution treats shard failure.
 
     ``on_failure="fail"`` (the default) propagates the first shard
-    failure as its typed error after aborting in-flight siblings;
+    failure as its typed error without opening a later shard;
     ``"partial"`` degrades instead: surviving shards' rows return as
     :class:`DegradedRows` with an explicit marker.  ``backoff`` is the
     seeded per-shard retry schedule; ``token`` (the serve layer's
@@ -328,27 +328,13 @@ class DegradedRows(list):
     degraded: Optional[DegradedResult] = None
 
 
-class _ScatterAbort(Exception):
-    """Internal: a sibling worker failed and set the abort flag; this
-    worker stopped early.  Never escapes :func:`execute_scatter`."""
-
-
-def worker_count(shards: int) -> int:
-    """Worker-pool width: one thread per surviving shard, capped by the
-    machine (``REPRO_SHARD_WORKERS`` overrides for benchmarks)."""
-    override = os.environ.get("REPRO_SHARD_WORKERS")
-    if override and override.isdigit() and int(override) > 0:
-        return min(shards, int(override))
-    return max(1, min(shards, os.cpu_count() or 1))
-
-
 def _shard_pipeline(shard: ShardInput, predicate: Optional[Expression],
                     outputs: Optional[Sequence], morsel: bool,
                     hook: Optional[Callable[[Row], None]]
                     ) -> Iterator[Row]:
     rows: Iterator[Row] = shard.rows()
     if hook is not None:
-        rows = _hooked(rows, hook)
+        rows = hooked(rows, hook)
     if predicate is not None:
         rows = (executor.filter_rows_morsel(rows, predicate) if morsel
                 else executor.filter_rows(rows, predicate))
@@ -358,8 +344,10 @@ def _shard_pipeline(shard: ShardInput, predicate: Optional[Expression],
     return rows
 
 
-def _hooked(rows: Iterator[Row],
-            hook: Callable[[Row], None]) -> Iterator[Row]:
+def hooked(rows: Iterator[Row],
+           hook: Callable[[Row], None]) -> Iterator[Row]:
+    """Call ``hook`` on every row before passing it on (cooperative
+    cancellation: the hook raises to abort the statement)."""
     for row in rows:
         hook(row)
         yield row
@@ -388,26 +376,28 @@ def execute_scatter(info: ShardPlanInfo, selected: Sequence[bool],
                     hook: Optional[Callable[[Row], None]] = None,
                     policy: Optional[ScatterPolicy] = None) -> List[Row]:
     """Run the fused scan→filter→project[→group-by] prefix over the
-    surviving shards on a thread pool and gather.
+    surviving shards, one after another in shard-index order on the
+    caller's thread, and gather.
 
     Per shard the pipeline is exactly the single-stream morsel (or row)
-    executor; with a fused group-by each worker produces **partial**
+    executor; with a fused group-by each shard produces **partial**
     aggregate states and the gather merges them in shard-index order
     (:func:`~repro.engine.executor.gather_group_partials`) before
     finalizing — row-parity with the unsharded plan is asserted by the
-    differential suite.  Cooperative-cancellation hooks run inside the
-    workers (every source row), so a session deadline aborts mid-scan.
+    differential suite.  The cooperative-cancellation hook fires on
+    every source row, so a session deadline aborts mid-scan; spans
+    opened inside a shard stream nest under the statement's span.
 
     Failure handling follows ``policy`` (:class:`ScatterPolicy`):
     transient faults retry per shard under the seeded backoff schedule
     with outcomes reported to the health board; exhausted retries
     surface as :class:`ShardUnavailable`.  Under ``"fail"`` the first
-    shard failure sets a shared abort flag — in-flight siblings stop at
-    their next row instead of running to completion behind the
-    propagated error — and re-raises typed.  Under ``"partial"``
-    degradable failures are collected and the surviving shards' rows
-    return as :class:`DegradedRows` with an explicit marker.  Semantic
-    errors always propagate unchanged under either policy.
+    degradable failure re-raises typed and no later shard is opened.
+    Under ``"partial"`` degradable failures are collected, the other
+    shards still run, and the surviving shards' rows return as
+    :class:`DegradedRows` with an explicit marker.  Semantic errors and
+    ``BaseException`` subclasses (``QueryTimeout``, ``SimulatedCrash``)
+    always propagate unchanged under either policy.
     """
     from repro.obs import metrics as _obs_metrics
 
@@ -425,22 +415,17 @@ def execute_scatter(info: ShardPlanInfo, selected: Sequence[bool],
     if group is not None:
         keys, aggregates = group
 
-        def run(shard: ShardInput,
-                guard: Optional[Callable[[Row], None]]) -> dict:
-            return executor.partial_group_by(
-                _shard_pipeline(shard, predicate, outputs, morsel,
-                                guard),
-                keys, aggregates, morsel=morsel)
-    else:
-        def run(shard: ShardInput,
-                guard: Optional[Callable[[Row], None]]) -> list:
-            return list(_shard_pipeline(shard, predicate, outputs,
-                                        morsel, guard))
+    def run(shard: ShardInput) -> Any:
+        rows = _shard_pipeline(shard, predicate, outputs, morsel, hook)
+        if group is None:
+            return list(rows)
+        return executor.partial_group_by(rows, keys, aggregates,
+                                         morsel=morsel)
 
-    retry_counts: Dict[int, int] = {}  # per-shard keys: no lock needed
+    retried = 0
 
-    def run_with_retry(shard: ShardInput,
-                       guard: Optional[Callable[[Row], None]]) -> Any:
+    def run_with_retry(shard: ShardInput) -> Any:
+        nonlocal retried
         if board is not None and not board.admit(shard.index):
             raise ShardUnavailable("read refused", shard_index=shard.index,
                                    state=board.state(shard.index))
@@ -448,7 +433,7 @@ def execute_scatter(info: ShardPlanInfo, selected: Sequence[bool],
         attempts = max(1, policy.backoff.max_attempts)
         for attempt in range(attempts):
             try:
-                result = run(shard, guard)
+                result = run(shard)
             except RETRYABLE_FAULTS as exc:
                 state = (board.record_failure(shard.index)
                          if board is not None else "")
@@ -458,8 +443,7 @@ def execute_scatter(info: ShardPlanInfo, selected: Sequence[bool],
                         f"{exc}", shard_index=shard.index,
                         state=state) from exc
                 retries.inc()
-                retry_counts[shard.index] = retry_counts.get(
-                    shard.index, 0) + 1
+                retried += 1
                 _backoff_wait(policy, key, attempt)
             else:
                 if board is not None:
@@ -467,80 +451,23 @@ def execute_scatter(info: ShardPlanInfo, selected: Sequence[bool],
                 return result
 
     partial = policy.on_failure == "partial"
-    results_by_index: Dict[int, Any] = {}
-    failures: Dict[int, BaseException] = {}
-
-    if len(live) <= 1:
-        for shard in live:
-            try:
-                results_by_index[shard.index] = run_with_retry(shard,
-                                                               hook)
-            except DEGRADABLE_FAULTS as exc:
-                if not partial:
-                    shards_failed.inc()
-                    raise
-                failures[shard.index] = exc
-    else:
-        abort = threading.Event()
-
-        def guard_hook(row: Row) -> None:
-            if abort.is_set():
-                raise _ScatterAbort()
-            if hook is not None:
-                hook(row)
-
-        def guarded(shard: ShardInput) -> Any:
-            # the failing worker flips the abort flag itself, so
-            # siblings stop at their next row — not when the ordered
-            # gather finally reaches the failed future
-            try:
-                return run_with_retry(shard, guard_hook)
-            except _ScatterAbort:
+    surviving: List[Any] = []
+    failures: List[int] = []
+    # shard-index order: the gather order, and under "fail" no shard
+    # after the first failure is ever opened
+    for shard in live:
+        try:
+            surviving.append(run_with_retry(shard))
+        except DEGRADABLE_FAULTS:
+            if not partial:
+                shards_failed.inc()
                 raise
-            except DEGRADABLE_FAULTS:
-                if not partial:
-                    abort.set()
-                raise
-            except BaseException:  # lint: ignore[broad-except] any worker failure (incl. SimulatedCrash / QueryTimeout, BaseExceptions) must flip the abort flag before propagating through its future
-                abort.set()
-                raise
-
-        with ThreadPoolExecutor(
-                max_workers=worker_count(len(live)),
-                thread_name_prefix="scatter") as pool:
-            futures = [(shard, pool.submit(guarded, shard))
-                       for shard in live]
-            propagate: Optional[BaseException] = None
-            # gather in shard-index order regardless of completion order
-            for shard, future in futures:
-                try:
-                    results_by_index[shard.index] = future.result()
-                except _ScatterAbort:  # lint: ignore[silent-except] aborted behind a sibling failure; that failure surfaces from its own future below
-                    pass
-                except DEGRADABLE_FAULTS as exc:
-                    if partial:
-                        failures[shard.index] = exc
-                    else:
-                        propagate = exc
-                        break
-                except BaseException as exc:  # lint: ignore[broad-except] semantic errors, Cancelled and QueryTimeout (a BaseException) all propagate verbatim after the drain below
-                    propagate = exc
-                    break
-            if propagate is not None:
-                # drain promptly: abort is already set (the worker set
-                # it), running workers bail at their next row, queued
-                # ones never start
-                pool.shutdown(wait=True, cancel_futures=True)
-                if isinstance(propagate, DEGRADABLE_FAULTS):
-                    shards_failed.inc()
-                raise propagate
+            failures.append(shard.index)
 
     if failures:
         shards_failed.inc(len(failures))
         degraded_results.inc()
 
-    surviving = [results_by_index[shard.index] for shard in live
-                 if shard.index in results_by_index]
     if group is not None:
         gathered = executor.gather_group_partials(surviving, aggregates)
         rows: List[Row] = list(executor.finalize_groups(
@@ -555,6 +482,6 @@ def execute_scatter(info: ShardPlanInfo, selected: Sequence[bool],
         degraded.degraded = DegradedResult(
             f"partial result from {info.name}",
             shards_failed=tuple(sorted(failures)),
-            retries=sum(retry_counts.values()))
+            retries=retried)
         return degraded
     return rows

@@ -1,6 +1,6 @@
 """The project's sleep discipline: a seeded backoff clock.
 
-Retry paths (scatter workers, the sharded commit path) must never call
+Retry paths (scatter shard scans, the sharded commit path) must never call
 ``time.sleep`` directly — the ``direct-time`` lint rule enforces it.
 Two reasons:
 

@@ -2,10 +2,13 @@
 
 A :class:`Span` measures one unit of engine work — a query, one operator
 stage, an OSON navigation, a WAL commit.  Spans nest through a
-``contextvars.ContextVar``, so worker threads and generators attach
-children to the right parent without any explicit plumbing; a span
-opened with no live parent becomes a *root* span and lands in the
-bounded in-memory ring buffer when it closes.
+``contextvars.ContextVar``, so generators consumed on the opening
+thread attach children to the right parent without any explicit
+plumbing.  A new thread starts with an *empty* context: work handed to
+one nests only if it runs under a copy of the caller's context
+(``contextvars.copy_context().run``).  A span opened with no live
+parent becomes a *root* span and lands in the bounded in-memory ring
+buffer when it closes.
 
 The tracer is **off by default** (enable with ``REPRO_TRACE=1`` or
 :func:`set_tracing_enabled`).  When off, :func:`span` returns a shared

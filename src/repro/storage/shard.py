@@ -247,7 +247,7 @@ class ShardedSnapshot:
 
     def shard_documents(self, index: int) -> Iterator[Tuple[int, Any]]:
         """One shard's documents (global ids), in local order — the
-        per-shard scan the scatter executor feeds to its workers.
+        per-shard scan the scatter executor runs its pipeline over.
 
         Fires the ``shard.scan`` chaos point at stream open and
         ``shard.read`` per document, so the chaos harness can fault a

@@ -7,6 +7,8 @@ operators — must answer "could match" and scan.  The gather half is
 pinned to single-stream ``group_by`` row parity.
 """
 
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +16,8 @@ from repro.core.dataguide.builder import DataGuideBuilder
 from repro.engine import executor, expr
 from repro.engine.scatter import (ShardInput, ShardPlanInfo,
                                   execute_scatter, prune_shards,
-                                  pushable_conjuncts, shard_can_match,
-                                  worker_count)
+                                  pushable_conjuncts, shard_can_match)
+from repro.obs import trace
 
 
 def guide_of(*documents):
@@ -282,25 +284,46 @@ class TestExecuteScatter:
             execute_scatter(info, [True, True], None, None, None,
                             morsel=True)
 
-    def test_hook_runs_inside_workers(self):
+    def test_hook_runs_on_callers_thread(self):
         seen = []
         info = make_info(SHARDS)
         execute_scatter(info, [True] * 3, None, None, None,
                         morsel=True, hook=seen.append)
         assert len(seen) == sum(len(s) for s in SHARDS)
 
+    def test_shards_run_on_callers_thread_inside_its_span(self):
+        """Every shard stream and the hook run on the statement's own
+        thread, so a span opened inside a shard stream nests under the
+        statement's span instead of landing in the ring as a root."""
+        threads = []
 
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-        assert worker_count(8) == 2
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "16")
-        assert worker_count(4) == 4  # never more workers than shards
+        def traced(index, rows):
+            def source():
+                threads.append(threading.get_ident())
+                with trace.span("shard.open", shard=index):
+                    pass
+                return iter(rows)
+            return source
 
-    def test_defaults_to_machine_width(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_WORKERS", raising=False)
-        import os
-        assert worker_count(64) == max(1, min(64, os.cpu_count() or 1))
+        inputs = [ShardInput(i, traced(i, rows), guide_of(*rows))
+                  for i, rows in enumerate(SHARDS)]
+        info = ShardPlanInfo("t", inputs, lambda c: None)
+        previous = trace.set_tracing_enabled(True)
+        trace.take_spans()
+        try:
+            with trace.span("stmt") as statement:
+                rows = execute_scatter(
+                    info, [True] * 3, None, None, None, morsel=True,
+                    hook=lambda row: threads.append(threading.get_ident()))
+            roots = trace.take_spans()
+        finally:
+            trace.set_tracing_enabled(previous)
+        assert rows == [row for shard in SHARDS for row in shard]
+        assert threads == [threading.get_ident()] * (3 + len(rows))
+        assert [(child.name, child.attrs["shard"])
+                for child in statement.children] == [
+            ("shard.open", 0), ("shard.open", 1), ("shard.open", 2)]
+        assert [root.name for root in roots] == ["stmt"]
 
 
 class TestGatherPrimitives:

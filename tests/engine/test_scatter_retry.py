@@ -2,14 +2,11 @@
 
 Three contracts (DESIGN §11): transient faults retry on the seeded
 backoff schedule and exhausted budgets surface typed; under
-``on_failure="fail"`` the first failure aborts in-flight siblings
-promptly (the regression tests count post-failure work); under
-``"partial"`` the result is explicitly degraded — rows plus a marker —
-and semantic errors are never degradable under either policy.
+``on_failure="fail"`` the first failure ends the statement before any
+later shard is opened; under ``"partial"`` the result is explicitly
+degraded — rows plus a marker — and semantic errors are never
+degradable under either policy.
 """
-
-import threading
-import time
 
 import pytest
 
@@ -197,62 +194,57 @@ class TestPartialPolicy:
 
 
 class TestPromptAbort:
-    """Satellite regression: one shard's failure must stop in-flight
-    siblings at their next row and keep queued shards from starting —
-    not let them run to completion behind the propagated error."""
+    """Shards run one after another in shard-index order, so under
+    ``"fail"`` the first failure stops the statement before any later
+    shard is opened; under ``"partial"`` every other shard still runs."""
 
-    def test_sibling_stops_promptly_after_failure(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")  # force overlap
-        failed = threading.Event()
-        produced = []
+    @staticmethod
+    def tracking(index, rows, opened):
+        def source():
+            opened.append(index)
+            return iter(rows)
+        return source
 
-        def slow_source():
-            def rows():
-                yield {"k": "a", "v": 0}
-                failed.wait(timeout=5.0)
-                for i in range(1000):
-                    produced.append(i)
-                    time.sleep(0.0005)  # bounded pacing, test-only
-                    yield {"k": "a", "v": i}
-            return rows()
+    @staticmethod
+    def failing_mid_stream(index, rows, opened):
+        """Opens fine, serves one row, then faults — on every attempt."""
+        def source():
+            opened.append(index)
+            yield rows[0]
+            raise TransientFault("mid-scan outage")
+        return source
 
-        def failing_source():
-            def rows():
-                yield {"k": "b", "v": 0}
-                failed.set()
-                raise ShardUnavailable("mid-scan outage", shard_index=1)
-            return rows()
+    def make(self, opened):
+        return make_info([self.tracking(0, SHARDS[0], opened),
+                          self.failing_mid_stream(1, SHARDS[1], opened),
+                          self.tracking(2, SHARDS[2], opened)])
 
-        info = make_info([slow_source, failing_source])
-        with pytest.raises(ShardUnavailable):
-            run(info, ScatterPolicy())
-        # the abort flag stops the survivor within a handful of rows;
-        # without it the slow shard would emit all 1000
-        assert len(produced) < 100
+    def test_fail_leaves_later_shards_unopened(self, virtual_clock):
+        opened = []
+        failed = metrics.counter("engine.scatter.shards_failed").value
+        with pytest.raises(ShardUnavailable) as exc_info:
+            run(self.make(opened), ScatterPolicy())
+        assert exc_info.value.shard_index == 1
+        assert isinstance(exc_info.value.__cause__, TransientFault)
+        assert opened[0] == 0 and set(opened[1:]) == {1}
+        assert metrics.counter(
+            "engine.scatter.shards_failed").value == failed + 1
 
-    def test_queued_shards_never_start_after_failure(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "1")
-        touched = []
-
-        def tracking(index, rows):
-            def source():
-                touched.append(index)
-                return iter(rows)
-            return source
+    def test_queued_shards_never_start_after_failure(self):
+        opened = []
 
         def failing():
             raise ShardUnavailable("down", shard_index=0)
 
-        info = make_info([failing, tracking(1, SHARDS[1]),
-                          tracking(2, SHARDS[2])])
+        info = make_info([failing, self.tracking(1, SHARDS[1], opened),
+                          self.tracking(2, SHARDS[2], opened)])
         with pytest.raises(ShardUnavailable):
             run(info, ScatterPolicy())
-        # one worker: the failure lands before the queued shards run,
-        # and the drain cancels them instead of letting them start
-        assert touched == []
+        assert opened == []
 
     def test_partial_policy_does_not_abort_siblings(self, virtual_clock):
-        info = make_info([steady(SHARDS[0]), flaky(SHARDS[1], 99),
-                          steady(SHARDS[2])])
-        rows = run(info, ScatterPolicy(on_failure="partial"))
+        opened = []
+        rows = run(self.make(opened), ScatterPolicy(on_failure="partial"))
         assert list(rows) == SHARDS[0] + SHARDS[2]
+        assert rows.degraded.shards_failed == (1,)
+        assert opened[0] == 0 and opened[-1] == 2

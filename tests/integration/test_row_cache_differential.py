@@ -11,6 +11,7 @@ image, so they probe with equal copies), and under concurrent readers.
 
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -199,6 +200,7 @@ def test_dropped_view_releases_its_entries():
 
 DOCUMENTS = 40
 ROUNDS = 120
+SCANS = 20  # reader scans the updater waits for before it stops
 
 
 @pytest.fixture
@@ -232,8 +234,17 @@ def test_two_readers_beside_an_updater_never_read_stale_rows(sanitized):
     done = threading.Event()
 
     def updater():
+        # progress is paced by the readers, not by speed: keep updating
+        # past ROUNDS until they have scanned SCANS times (a cold scan
+        # costs as much as dozens of updates under sanitized locks)
+        give_up = time.monotonic() + 50
+        step = 0
         try:
-            for step in range(1, ROUNDS + 1):
+            while not failures and (step < ROUNDS or len(scans) < SCANS):
+                if time.monotonic() > give_up:
+                    failures.append(f"updater: {len(scans)} scans in 50 s")
+                    break
+                step += 1
                 key = step % DOCUMENTS
                 version = committed[key] + 1
                 if step % 2:
@@ -287,6 +298,6 @@ def test_two_readers_beside_an_updater_never_read_stale_rows(sanitized):
         done.set()
         table.close()
     assert not failures, failures[:5]
-    assert len(scans) >= 20  # the readers really ran beside the updater
+    assert len(scans) >= SCANS  # the readers really ran beside the updater
     assert [row["qty"] for row in view.scan()] == committed
     assert sanitized() == findings_before
