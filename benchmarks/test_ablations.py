@@ -359,12 +359,9 @@ def test_ablation6_shape(benchmark, dmdv_view, documents):
     """The PR's acceptance gate: the full fast path (partial-decode
     navigation + interned dictionaries/documents + morsel batching) must
     beat the pre-PR configuration by a clear margin on an OLAP round."""
-    from repro.core.counters import (
-        counters_for,
-        restore_caches_enabled,
-        set_caches_enabled,
-    )
+    from repro.core.counters import restore_caches_enabled, set_caches_enabled
     from repro.core.oson import set_navigation_enabled
+    from repro.obs import metrics
     view, partno, partnos = _ablation6_setup(dmdv_view, documents)
     benchmark.pedantic(lambda: None, rounds=1)  # shape check, not a timing
 
@@ -387,7 +384,7 @@ def test_ablation6_shape(benchmark, dmdv_view, documents):
 
     assert fast == slow  # byte-identical results, only the speed differs
     ratio = slow_time / fast_time
-    filter_hits = counters_for("engine.morsel_filter").hits
+    filter_hits = metrics.counter("engine.morsel_filter.hits").value
     report("Ablation 6 — PR-3 fast path vs pre-PR configuration",
            [f"fast (nav + caches + morsel): {fast_time * 1000:.1f} ms",
             f"ablated (DOM + cold + row):   {slow_time * 1000:.1f} ms "

@@ -19,7 +19,7 @@ from repro.engine.types import (
     SqlType,
     VARCHAR2,
 )
-from repro.engine.query import Query, default_mode, set_default_mode
+from repro.engine.query import Query
 from repro.engine import expressions as expr
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "DurableTable",
     "Column",
     "Query",
-    "default_mode",
-    "set_default_mode",
     "expr",
     "SqlType",
     "NUMBER",

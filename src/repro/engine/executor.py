@@ -24,7 +24,6 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core.counters import counters_for
 from repro.obs import metrics as _metrics
 from repro.engine.expressions import (
     Aggregate,
@@ -225,8 +224,10 @@ def distinct(rows: Iterable[Row]) -> Iterator[Row]:
 
 #: vectorization telemetry: hits = morsels dispatched to numpy kernels,
 #: misses = morsels that fell back to the compiled-closure loop
-_FILTER_DISPATCH = counters_for("engine.morsel_filter")
-_GROUP_DISPATCH = counters_for("engine.morsel_group_by")
+_FILTER_VECTOR = _metrics.counter("engine.morsel_filter.hits")
+_FILTER_FALLBACK = _metrics.counter("engine.morsel_filter.misses")
+_GROUP_VECTOR = _metrics.counter("engine.morsel_group_by.hits")
+_GROUP_FALLBACK = _metrics.counter("engine.morsel_group_by.misses")
 
 #: largest magnitude an int may have and still be exactly a float64
 _EXACT_INT = 2 ** 53
@@ -375,12 +376,12 @@ def filter_rows_morsel(rows: Iterable[Row],
     for morsel in _morsels(rows):
         mask = _vector_mask(conjuncts, morsel) if conjuncts else None
         if mask is not None:
-            _FILTER_DISPATCH.record_hit()
+            _FILTER_VECTOR.inc()
             for row, keep in zip(morsel, mask):
                 if keep:
                     yield row
         else:
-            _FILTER_DISPATCH.record_miss()
+            _FILTER_FALLBACK.inc()
             for row in morsel:
                 if fn(row) is True:
                     yield row
@@ -550,10 +551,6 @@ def fold_partials(states: list, specs: list,
                            else state.total + partial)
 
 
-#: backwards-compatible private alias (pre-public-API spelling)
-_fold_partials = fold_partials
-
-
 def partial_group_by(rows: Iterable[Row],
                      keys: Sequence[tuple[str, Expression]],
                      aggregates: Sequence[tuple[str, Aggregate]],
@@ -601,9 +598,9 @@ def _accumulate_groups_morsel(rows: Iterable[Row],
     for morsel in _morsels(rows):
         if plan is not None and _fold_group_morsel(plan, morsel, groups,
                                                    aggregates, key_output):
-            _GROUP_DISPATCH.record_hit()
+            _GROUP_VECTOR.inc()
             continue
-        _GROUP_DISPATCH.record_miss()
+        _GROUP_FALLBACK.inc()
         for row in morsel:
             key = tuple(fn(row) for fn in key_fns)
             entry = _group_entry(

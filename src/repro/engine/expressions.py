@@ -17,15 +17,16 @@ import operator
 
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
-from repro.core.counters import counters_for
 from repro.errors import QueryError
+from repro.obs import metrics as _metrics
 from repro.sqljson.operators import json_exists, json_value
 
 Row = dict
 
 #: per-query expression compilation: a hit means the tree had already
 #: been lowered to a closure and the executor reused it
-_COMPILE = counters_for("engine.expr_compile")
+_COMPILE_HITS = _metrics.counter("engine.expr_compile.hits")
+_COMPILE_MISSES = _metrics.counter("engine.expr_compile.misses")
 
 
 class Expression:
@@ -49,9 +50,9 @@ class Expression:
         built the first time an executor hoists it out of its row loop."""
         fn = self.__dict__.get("_compiled_fn")
         if fn is not None:
-            _COMPILE.record_hit()
+            _COMPILE_HITS.inc()
             return fn
-        _COMPILE.record_miss()
+        _COMPILE_MISSES.inc()
         fn = self.compile()
         self.__dict__["_compiled_fn"] = fn
         return fn

@@ -24,8 +24,6 @@ the pinned mode.
 
 from __future__ import annotations
 
-import os
-
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.engine import executor
@@ -39,56 +37,13 @@ from repro.engine.expressions import (
 )
 from repro.errors import QueryError
 
-
-def _cache_deltas(before: dict, after: dict) -> dict:
-    """Non-zero per-cache hit/miss/eviction changes between two
-    :func:`repro.core.counters.snapshot_all` snapshots."""
-    deltas: dict = {}
-    for name, snap in after.items():
-        prior = before.get(name, {})
-        changed = {key: snap.get(key, 0) - prior.get(key, 0)
-                   for key in ("hits", "misses", "evictions")}
-        changed = {key: value for key, value in changed.items() if value}
-        if changed:
-            deltas[name] = changed
-    return deltas
-
-
 Row = dict
 Source = Union["Query", Iterable[Row], Callable[[], Iterator[Row]]]
 
-#: execution modes: "morsel" batches rows and dispatches vectorizable
-#: work to the numpy kernels; "row" is the tuple-at-a-time interpreter
+#: execution modes: "morsel" (the default) batches rows and dispatches
+#: vectorizable work to the numpy kernels; "row" is the tuple-at-a-time
+#: interpreter
 _VALID_MODES = ("morsel", "row")
-
-
-def _initial_mode() -> str:
-    mode = os.environ.get("REPRO_EXEC_MODE", "morsel")
-    return mode if mode in _VALID_MODES else "morsel"
-
-
-_DEFAULT_MODE = _initial_mode()
-
-
-def default_mode() -> str:
-    """The session-wide execution mode used by plans without an explicit
-    :meth:`Query.mode` (initialized from ``REPRO_EXEC_MODE``)."""
-    return _DEFAULT_MODE
-
-
-def set_default_mode(mode: str) -> str:
-    """Set the session-wide execution mode; returns the previous one so
-    ablation harnesses can restore it."""
-    global _DEFAULT_MODE
-    if mode not in _VALID_MODES:
-        raise QueryError(f"unknown execution mode {mode!r}")
-    previous = _DEFAULT_MODE
-    _DEFAULT_MODE = mode
-    return previous
-
-
-#: shared with the plan layer (kept importable under its old name)
-_iterate_source = planmod.iterate_source
 
 
 class Query:
@@ -237,7 +192,7 @@ class Query:
         """
         from repro.engine import scatter as scattermod
 
-        morsel = (self._mode or _DEFAULT_MODE) == "morsel"
+        morsel = self._mode != "row"
         built = self._plan()
         out = list(built.execute(morsel, hook=self._row_hook,
                                  scatter_policy=self._scatter_policy))
@@ -265,7 +220,7 @@ class Query:
         return planmod.rewrite(planmod.build_plan(self._source, self._ops))
 
     def _execute(self) -> Iterator[Row]:
-        morsel = (self._mode or _DEFAULT_MODE) == "morsel"
+        morsel = self._mode != "row"
         return self._plan().execute(morsel, hook=self._row_hook,
                                     scatter_policy=self._scatter_policy)
 
@@ -274,8 +229,8 @@ class Query:
         engine).
 
         Runs the pipeline one stage at a time with materialized
-        intermediates, so each stage's wall time, row counts, metric
-        deltas, and cache hit/miss deltas are attributed exactly to the
+        intermediates, so each stage's wall time, row counts and metric
+        deltas (cache hits/misses included) are attributed exactly to the
         operator that caused them (lazy chaining would smear upstream
         work into whichever stage pulled the rows).  Tracing is
         force-enabled for the duration so the query's span tree lands in
@@ -283,14 +238,13 @@ class Query:
 
         Returns ``{"mode", "elapsed_ms", "rows", "stages": [...]}``;
         each stage carries ``label``, ``op``, ``mode``, ``rows_in``,
-        ``rows_out``, ``elapsed_ms``, ``metrics`` (non-zero metric
-        deltas), and ``caches`` (non-zero cache-counter deltas).
+        ``rows_out``, ``elapsed_ms`` and ``metrics`` (non-zero metric
+        deltas).
         """
-        from repro.core import counters as _cache_counters
         from repro.obs import metrics as _obs_metrics
         from repro.obs import trace as _obs_trace
 
-        morsel = (self._mode or _DEFAULT_MODE) == "morsel"
+        morsel = self._mode != "row"
         mode_name = "morsel" if morsel else "row"
         source_name = getattr(self._source, "name",
                               type(self._source).__name__)
@@ -299,7 +253,6 @@ class Query:
         def run_stage(label: str, op: str, batched: bool,
                       produce) -> list[Row]:
             metrics_before = _obs_metrics.snapshot_metrics()
-            caches_before = _cache_counters.snapshot_all()
             start = _obs_trace.monotonic()
             with _obs_trace.span("operator", op=label) as stage_span:
                 out = list(produce())
@@ -314,8 +267,6 @@ class Query:
                 "elapsed_ms": elapsed,
                 "metrics": _obs_metrics.metric_deltas(
                     metrics_before, _obs_metrics.snapshot_metrics()),
-                "caches": _cache_deltas(caches_before,
-                                        _cache_counters.snapshot_all()),
             })
             return out
 
@@ -348,8 +299,8 @@ class Query:
 
         With ``analyze=True`` the query is executed via :meth:`profile`
         and each line carries the stage's observed rows in/out, wall
-        time, and execution mode, followed by indented non-zero metric
-        and cache-counter deltas.
+        time, and execution mode, followed by its indented non-zero
+        metric deltas.
         """
         if not analyze:
             return "\n".join(self._plan().explain_lines())
@@ -372,9 +323,4 @@ class Query:
                 else:
                     rendered = str(delta)
                 lines.append(f"    metric {name}: {rendered}")
-            for name in sorted(stage["caches"]):
-                delta = stage["caches"][name]
-                rendered = " ".join(f"{k}=+{v}" for k, v in
-                                    sorted(delta.items()))
-                lines.append(f"    cache {name}: {rendered}")
         return "\n".join(lines)

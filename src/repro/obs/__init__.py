@@ -10,10 +10,10 @@ observability layer instead of ad-hoc timers:
   schema-validated JSON.  ``set_tracing_enabled()`` is the kill switch;
   the disabled path is benchmarked under 2% overhead on the Figure 3
   suite (``benchmarks/test_obs_overhead.py``).
-* :mod:`repro.obs.metrics` — the unified metrics registry (counters,
-  gauges, fixed-bucket histograms).  The cache hit/miss registry of
-  :mod:`repro.core.counters` feeds the same export through a provider
-  hook, so one snapshot covers every subsystem.
+* :mod:`repro.obs.metrics` — the one metrics registry (counters,
+  gauges, fixed-bucket histograms).  Cache hit/miss/eviction tallies
+  are ordinary counters in it (``<cache>.hits`` ...), so one snapshot
+  covers every subsystem.
 * :mod:`repro.obs.schema` — the published JSON schema for trace and
   metrics exports plus a dependency-free validator.
 

@@ -7,19 +7,21 @@ for ``BENCH_results.json``, the CI artifact, and ``tools/obs``.
 Design constraints (they shape the API):
 
 * **thread-safe** — tracing hooks fire from worker threads; registration
-  uses a lock around its check-then-insert, increments take a per-
-  instrument lock so concurrent updates never lose counts.  Reads of an
-  already-registered instrument take the lock-free dict fast path.
+  uses a lock around its check-then-insert, increments take the
+  instrument's lock (its own, or one its owner shares with it) so
+  concurrent updates never lose counts.  Reads of an already-registered
+  instrument take the lock-free dict fast path.
 * **no wall-clock randomness** — histogram bucket boundaries are fixed
   at registration, so two runs of the same workload land the same
   distribution shape regardless of timer jitter.
 * **no dependencies** — importable from the bottom of the stack
   (``repro.core``) without cycles.
 
-The legacy cache registry (:mod:`repro.core.counters`) is unified into
-this export through :func:`register_provider`: providers contribute
-read-only snapshot sections without migrating their hot-path counters
-onto locked instruments.
+Cache hit/miss/eviction tallies are ordinary counters here
+(``<cache>.hits`` / ``.misses`` / ``.evictions``, registered by
+:class:`repro.core.counters.BoundedCache` with the cache's own lock).
+:func:`register_provider` attaches read-only snapshot sections from
+modules that sit below this one (the lock sanitizer).
 """
 
 from __future__ import annotations
@@ -54,18 +56,29 @@ BYTES_BUCKETS: Tuple[float, ...] = (
 
 
 class Counter:
-    """A monotonically increasing named count."""
+    """A monotonically increasing named count.
+
+    ``lock`` lets an owner share one mutex with the counter, so it can
+    bump the count with :meth:`add_held` inside a critical section it
+    already holds (a cache probe stays one lock acquisition).
+    """
 
     __slots__ = ("name", "_lock", "_value")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, lock: Any = None) -> None:
         self.name = name
-        self._lock = _locks.make_lock(f"obs.metrics.{name}")
+        self._lock = (lock if lock is not None
+                      else _locks.make_lock(f"obs.metrics.{name}"))
         self._value = 0  # guarded-by: _lock
 
     def inc(self, amount: int = 1) -> None:
         with self._lock:
             self._value += amount
+
+    @_locks.guarded_by("_lock")
+    def add_held(self, amount: int) -> None:
+        """:meth:`inc` for a caller already holding this counter's lock."""
+        self._value += amount
 
     @property
     def value(self) -> int:
@@ -189,9 +202,8 @@ _REGISTRY_LOCK = _locks.make_lock("obs.metrics.registry")
 _INSTRUMENTS: Dict[str, Any] = {}
 
 #: snapshot providers: name -> zero-arg callable returning a JSON-ready
-#: dict merged into the export under that section name.  This is how
-#: repro.core.counters (cache hit/miss registry) joins the unified
-#: export without moving its unlocked hot-path tallies.
+#: dict merged into the export under that section name (the lock
+#: sanitizer's summary, which cannot import this module)
 # guarded-by: _REGISTRY_LOCK
 _PROVIDERS: Dict[str, Callable[[], Dict[str, Any]]] = {}
 
@@ -214,9 +226,13 @@ def _get_or_create(name: str, factory: Callable[[], Any],
     return instrument
 
 
-def counter(name: str) -> Counter:
-    """The counter registered under ``name`` (created on first use)."""
-    return _get_or_create(name, lambda: Counter(name), Counter)
+def counter(name: str, lock: Any = None) -> Counter:
+    """The counter registered under ``name`` (created on first use).
+
+    ``lock`` only applies on first registration, like a histogram's
+    boundaries; read the shared lock back from the returned counter.
+    """
+    return _get_or_create(name, lambda: Counter(name, lock), Counter)
 
 
 def gauge(name: str) -> Gauge:

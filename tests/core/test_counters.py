@@ -1,4 +1,4 @@
-"""Unit tests for the cache instrumentation registry."""
+"""Unit tests for the bounded, instrumented hot-path caches."""
 
 import threading
 
@@ -7,40 +7,82 @@ import pytest
 from repro.core.counters import (
     BoundedCache,
     cache_named,
-    counters_for,
     restore_caches_enabled,
     set_caches_enabled,
     snapshot_all,
 )
+from repro.obs.metrics import (
+    counter,
+    find_metric,
+    reset_metrics,
+    snapshot_metrics,
+)
+
+
+def _reset(cache):
+    for tally in (cache.hits, cache.misses, cache.evictions):
+        tally.reset()
 
 
 class TestCounters:
     def test_registry_returns_same_record(self):
-        a = counters_for("test.same")
-        b = counters_for("test.same")
-        assert a is b
+        """Two caches built under one name share counters and lock."""
+        a = BoundedCache("test.same", maxsize=2)
+        b = BoundedCache("test.same", maxsize=2)
+        assert (a.hits, a.misses, a.evictions) == (
+            b.hits, b.misses, b.evictions)
+        assert a._lock is b._lock
+        assert all(tally._lock is a._lock
+                   for tally in (a.hits, a.misses, a.evictions))
+        assert find_metric("test.same.hits") is a.hits
 
     def test_hit_rate_and_snapshot(self):
-        record = counters_for("test.rate")
-        record.reset()
-        record.hits = 3
-        record.misses = 1
-        assert record.lookups == 4
-        assert record.hit_rate() == 0.75
-        snap = record.snapshot()
-        assert snap["hits"] == 3 and snap["hit_rate"] == 0.75
-        assert "test.rate" in snapshot_all()
+        cache = BoundedCache("test.rate", maxsize=2)
+        _reset(cache)
+        cache.put("a", 1)
+        for key in ("a", "a", "a", "b"):
+            cache.get(key)
+        assert snapshot_all()["test.rate"] == {
+            "hits": 3, "misses": 1, "evictions": 0, "hit_rate": 0.75}
+        metrics = snapshot_metrics()["metrics"]
+        assert metrics["test.rate.hits"] == {"type": "counter", "value": 3}
+        assert metrics["test.rate.misses"]["value"] == 1
 
     def test_zero_lookups_hit_rate(self):
-        record = counters_for("test.zero")
-        record.reset()
-        assert record.hit_rate() == 0.0
+        cache = BoundedCache("test.zero", maxsize=2)
+        _reset(cache)
+        assert snapshot_all()["test.zero"]["hit_rate"] == 0.0
+
+    def test_reset_metrics_zeroes_cache_tallies(self):
+        cache = BoundedCache("test.reset", maxsize=1)
+        cache.put("a", 1)
+        cache.put("b", 2)  # evicts a
+        cache.get("a")
+        cache.get("b")
+        assert (cache.hits.value, cache.misses.value,
+                cache.evictions.value) == (1, 1, 1)
+        reset_metrics()
+        assert snapshot_all()["test.reset"] == {
+            "hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.0}
+        for name, tallies in snapshot_all().items():
+            assert (tallies["hits"], tallies["misses"],
+                    tallies["evictions"]) == (0, 0, 0), name
+
+    def test_snapshot_all_shape_for_the_benchmark_caches(self):
+        """The shape the served benchmark's traced run reads."""
+        import repro.sqljson.adapters  # noqa: F401
+        import repro.sqljson.json_table  # noqa: F401
+        snapshot = snapshot_all()
+        for name in ("sqljson.oson_adapter", "sqljson.jsontable_rows"):
+            assert set(snapshot[name]) == {
+                "hits", "misses", "evictions", "hit_rate"}, name
+            assert snapshot[name]["hits"] == cache_named(name).hits.value
 
 
 class TestBoundedCache:
     def test_lru_eviction_counts(self):
         cache = BoundedCache("test.lru", maxsize=2)
-        cache.counters.reset()
+        _reset(cache)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh a; b is now LRU
@@ -48,9 +90,9 @@ class TestBoundedCache:
         assert cache.get("b") is None
         assert cache.get("a") == 1
         assert cache.get("c") == 3
-        assert cache.counters.evictions == 1
-        assert cache.counters.misses == 1
-        assert cache.counters.hits == 3
+        assert cache.evictions.value == 1
+        assert cache.misses.value == 1
+        assert cache.hits.value == 3
 
     def test_disabled_is_passthrough(self):
         cache = BoundedCache("test.disabled", maxsize=4)
@@ -65,6 +107,11 @@ class TestBoundedCache:
     def test_rejects_nonpositive_maxsize(self):
         with pytest.raises(ValueError):
             BoundedCache("test.bad", maxsize=0)
+
+    def test_rejects_a_tally_registered_under_another_lock(self):
+        counter("test.clash.misses")  # its own lock, not the cache's
+        with pytest.raises(ValueError):
+            BoundedCache("test.clash", maxsize=2)
 
 
 class TestValueKeys:
@@ -103,7 +150,7 @@ class TestValueKeys:
         assert cache.get((1, b"x")) is None and cache.get((2, b"x")) == 2
         cache.discard(lambda key: key[0] == 2)
         cache.put((3, b"x"), 3)
-        assert len(cache) == 1 and cache.counters.evictions == 0
+        assert len(cache) == 1 and cache.evictions.value == 0
 
 
 class TestEnableToggle:
@@ -133,7 +180,7 @@ class TestThreadSafety:
     """Regression tests for the unsynchronized check-then-insert and
     read-modify-write races the registry and caches used to have.
 
-    Before the fix, a concurrent ``counters_for`` could hand two threads
+    Before the fix, a concurrent registration could hand two threads
     distinct records for the same name (half the tallies vanished when
     the second registration won), ``hits += 1`` lost increments under
     interleaving, and concurrent ``get``/``put`` could corrupt the
@@ -167,33 +214,38 @@ class TestThreadSafety:
 
         def work():
             for i in range(self.ROUNDS):
-                record = counters_for(f"test.race_registry.{i % 16}")
+                cache = BoundedCache(f"test.race_registry.{i % 16}", 2)
                 with lock:
-                    seen.append(record)
+                    seen.append((cache.hits.name, cache.hits, cache.misses,
+                                 cache.evictions, cache._lock))
 
         self._hammer(work)
         by_name = {}
-        for record in seen:
-            by_name.setdefault(record.name, set()).add(id(record))
+        for name, *shared in seen:
+            by_name.setdefault(name, set()).add(tuple(map(id, shared)))
         assert all(len(ids) == 1 for ids in by_name.values()), \
-            "counters_for returned distinct records for one name"
+            "caches built under one name got distinct counters or locks"
+        for _name, hits, misses, evictions, shared_lock in seen:
+            assert hits._lock is misses._lock is evictions._lock \
+                is shared_lock
 
     def test_counter_increments_are_not_lost(self):
-        record = counters_for("test.race_increments")
-        record.reset()
+        cache = BoundedCache("test.race_increments", maxsize=2)
+        _reset(cache)
 
         def work():
             for _ in range(self.ROUNDS):
-                record.record_hit()
-                record.record_miss()
+                with cache._lock:  # the cache's own in-lock path
+                    cache.hits.add_held(1)
+                cache.misses.inc()
 
         self._hammer(work)
-        assert record.hits == self.THREADS * self.ROUNDS
-        assert record.misses == self.THREADS * self.ROUNDS
+        assert cache.hits.value == self.THREADS * self.ROUNDS
+        assert cache.misses.value == self.THREADS * self.ROUNDS
 
     def test_bounded_cache_exact_tallies_and_bound(self):
         cache = BoundedCache("test.race_bounded", maxsize=8)
-        cache.counters.reset()
+        _reset(cache)
 
         def work():
             for i in range(self.ROUNDS):
@@ -203,13 +255,13 @@ class TestThreadSafety:
 
         self._hammer(work)
         total = self.THREADS * self.ROUNDS
-        assert cache.counters.hits == total
-        assert cache.counters.misses == total
+        assert cache.hits.value == total
+        assert cache.misses.value == total
         assert len(cache) <= cache.maxsize
 
     def test_value_keyed_cache_survives_churn(self):
         cache = BoundedCache("test.race_value", maxsize=8)
-        cache.counters.reset()
+        _reset(cache)
 
         def work():
             for i in range(self.ROUNDS):
@@ -223,5 +275,5 @@ class TestThreadSafety:
 
         self._hammer(work)
         assert len(cache) <= cache.maxsize
-        counters = cache.counters
-        assert counters.hits + counters.misses == self.THREADS * self.ROUNDS
+        lookups = cache.hits.value + cache.misses.value
+        assert lookups == self.THREADS * self.ROUNDS

@@ -216,17 +216,17 @@ class TestDmdvCacheFreshness:
                              include_columns=["ID"])
 
     def test_partial_update_not_served_stale(self, fs):
-        from repro.core.counters import counters_for
         from repro.core.oson import OsonUpdater
+        from repro.obs import metrics
         db, table = self._durable_json_table(fs)
         view = self._view(table)
 
         assert [r["qty"] for r in view.scan()] == [3]
         # second scan comes from the memoized DMDV expansion
-        stats = counters_for("sqljson.jsontable_rows")
-        hits_before = stats.hits
+        hits = metrics.counter("sqljson.jsontable_rows.hits")
+        hits_before = hits.value
         assert [r["qty"] for r in view.scan()] == [3]
-        assert stats.hits > hits_before
+        assert hits.value > hits_before
 
         # partial update on the stored image, written back through the
         # table's normal (durable, write-through) update path

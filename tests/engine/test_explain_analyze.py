@@ -1,5 +1,6 @@
-"""EXPLAIN ANALYZE: per-operator rows/time/cache attribution in both
-executors, including the OSON JSON_TABLE path the figures measure."""
+"""EXPLAIN ANALYZE: per-operator rows/time/metric attribution (cache
+hits and misses included) in both executors, including the OSON
+JSON_TABLE path the figures measure."""
 
 import pytest
 
@@ -73,7 +74,8 @@ class TestProfile:
         stages = plan.mode("morsel").profile()["stages"]
         where = next(s for s in stages if s["op"] == "where")
         assert where["metrics"].get("engine.morsel.batches")
-        assert "engine.morsel_filter" in where["caches"]
+        assert where["metrics"].get("engine.morsel_filter.hits")
+        assert all("caches" not in stage for stage in stages)
         take_spans()
 
     def test_profile_emits_schema_valid_trace(self, plan):
@@ -125,8 +127,9 @@ class TestExplainAnalyze:
         assert "sqljson.path.vm_selects" in text
         assert "metric oson.document.decodes" in text
         # one probe of each cache per document, all cold
-        assert "cache sqljson.jsontable_rows: misses=+" in text
-        assert "cache sqljson.oson_adapter: misses=+" in text
+        assert "metric sqljson.jsontable_rows.misses: " in text
+        assert "metric sqljson.oson_adapter.misses: " in text
+        assert "\n    cache " not in text
         take_spans()
 
     def test_cache_hits_appear_on_repeat(self, oson_views):
@@ -134,5 +137,5 @@ class TestExplainAnalyze:
         plan = Query(mv).where(expr.Col("reference") == params.reference)
         plan.rows()  # warm the DMDV row cache
         text = plan.explain(analyze=True)
-        assert "cache sqljson.jsontable_rows: hits=+" in text
+        assert "metric sqljson.jsontable_rows.hits: " in text
         take_spans()

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Query, expr
-from repro.engine.query import default_mode, set_default_mode
 from repro.errors import QueryError
 
 _VALUES = st.one_of(
@@ -137,17 +136,6 @@ def test_mode_survives_chaining():
     assert q._mode == "row"
 
 
-def test_default_mode_roundtrip():
-    previous = set_default_mode("row")
-    try:
-        assert default_mode() == "row"
-    finally:
-        set_default_mode(previous)
-    assert default_mode() == previous
-
-
 def test_unknown_mode_rejected():
     with pytest.raises(QueryError):
         Query([]).mode("vectorized")
-    with pytest.raises(QueryError):
-        set_default_mode("vectorized")

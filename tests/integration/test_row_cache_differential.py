@@ -207,13 +207,14 @@ SCANS = 20  # reader scans the updater waits for before it stops
 def sanitized(monkeypatch):
     """Sanitize every lock the hammer touches: the store's (created while
     the switch is on) and the two module-level caches' (created at
-    import, so swapped in for the test)."""
+    import, so swapped in for the test — one lock shared by the cache
+    and its three counters)."""
     previous = locks.set_sanitizer_enabled(True)
     for name in CACHES:
         cache = cache_named(name)
         lock = locks.make_lock(f"core.counters.{name}")
-        monkeypatch.setattr(cache, "_lock", lock)
-        monkeypatch.setattr(cache.counters, "_lock", lock)
+        for owner in (cache, cache.hits, cache.misses, cache.evictions):
+            monkeypatch.setattr(owner, "_lock", lock)
     yield lambda: {kind: locks.report()["counts"].get(kind, 0)
                    for kind in ("io-under-lock", "lock-order-inversion")}
     locks.set_sanitizer_enabled(previous)

@@ -32,6 +32,17 @@ class TestInstruments:
         assert c.value == 5
         assert c.snapshot() == {"type": "counter", "value": 5}
 
+    def test_counter_lock_applies_on_first_registration_only(self):
+        shared = threading.Lock()
+        c = counter("t.counter_shared", lock=shared)
+        assert c._lock is shared
+        assert counter("t.counter_shared", lock=threading.Lock()) is c
+        assert c._lock is shared
+        c.reset()
+        with shared:
+            c.add_held(2)
+        assert c.value == 2
+
     def test_gauge_sets_and_adds(self):
         g = gauge("t.gauge")
         g.set(10)
@@ -158,14 +169,18 @@ class TestProviders:
         assert payload["providers"]["test_section"] == {"k": {"v": 1}}
         assert not validate_metrics_export(payload)
 
-    def test_cache_counters_provider_registered(self):
-        # importing repro.core.counters wires the legacy cache registry
-        # into the unified export
+    def test_cache_tallies_are_metrics_not_a_provider_section(self):
         from repro.core.counters import BoundedCache
 
         cache = BoundedCache("t.provider_cache", maxsize=2)
-        cache.counters.reset()
         cache.put("a", 1)
+        before = snapshot_metrics()
         cache.get("a")
-        section = snapshot_metrics()["providers"]["cache_counters"]
-        assert section["t.provider_cache"]["hits"] == 1
+        cache.get("b")
+        payload = snapshot_metrics()
+        assert metric_deltas(before, payload) == {
+            "t.provider_cache.hits": 1, "t.provider_cache.misses": 1}
+        assert "t.provider_cache.evictions" in payload["metrics"]
+        assert not any("t.provider_cache" in section
+                       for section in payload["providers"].values())
+        assert "lock_sanitizer" in payload["providers"]

@@ -199,7 +199,8 @@ class TestDmdvRowCache:
     def cache(self):
         from repro.core.counters import cache_named
         cache = cache_named("sqljson.jsontable_rows")
-        cache.counters.reset()
+        for tally in (cache.hits, cache.misses, cache.evictions):
+            tally.reset()
         return cache
 
     def test_oson_expansion_is_cached(self, cache):
@@ -208,7 +209,7 @@ class TestDmdvRowCache:
         assert table.probe(image) is None
         first = table.rows(image)
         assert table.rows(image) == first
-        assert (cache.counters.hits, cache.counters.misses) == (1, 2)
+        assert (cache.hits.value, cache.misses.value) == (1, 2)
 
     def test_equal_images_share_one_entry(self, cache):
         table = po_table()
@@ -277,14 +278,14 @@ class TestDmdvRowCache:
         image = oson_encode(PO_DOC)
         expected = table.rows(dumps(PO_DOC))           # text: no entry
         assert table.rows(bson.encode(PO_DOC)) == expected  # nor BSON
-        resident, evictions = len(cache), cache.counters.evictions
+        resident, evictions = len(cache), cache.evictions.value
         for _ in range(50):
             assert table.rows(bytearray(image)) == expected
             assert table.rows(OsonDocument(image)) == expected
         assert table.probe(bytearray(image)) is None
         assert len(cache) == resident
-        assert cache.counters.evictions == evictions
-        assert cache.counters.hits == 0
+        assert cache.evictions.value == evictions
+        assert cache.hits.value == 0
 
     def test_mutated_bytearray_is_never_served_stale(self):
         from repro.core.oson import OsonUpdater
