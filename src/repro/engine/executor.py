@@ -116,27 +116,12 @@ def _join_probe(row: Row, build: dict[Any, list[Row]], null_pad: Row,
 
 def group_by(rows: Iterable[Row], keys: Sequence[tuple[str, Expression]],
              aggregates: Sequence[tuple[str, Aggregate]]) -> Iterator[Row]:
-    """Hash aggregation.  With no keys, produces one global group (even
-    over empty input, per SQL semantics)."""
-    groups: dict[tuple, tuple[Row, list]] = {}
-    for row in rows:
-        key = tuple(expression.evaluate(row) for _name, expression in keys)
-        entry = groups.get(key)
-        if entry is None:
-            states = [agg.create() for _alias, agg in aggregates]
-            key_row = {name: value for (name, _e), value in zip(keys, key)}
-            entry = (key_row, states)
-            groups[key] = entry
-        for state in entry[1]:
-            state.step(row)
-    if not groups and not keys:
-        states = [agg.create() for _alias, agg in aggregates]
-        groups[()] = ({}, states)
-    for key_row, states in groups.values():
-        out = dict(key_row)
-        for (alias, _agg), state in zip(aggregates, states):
-            out[alias] = state.final()
-        yield out
+    """Hash aggregation, tuple at a time through the expression
+    interpreter.  With no keys, produces one global group (even over
+    empty input, per SQL semantics)."""
+    yield from finalize_groups(
+        partial_group_by(rows, keys, aggregates, morsel=False),
+        keys, aggregates)
 
 
 def sort(rows: Iterable[Row],
@@ -556,57 +541,53 @@ def partial_group_by(rows: Iterable[Row],
                      aggregates: Sequence[tuple[str, Aggregate]],
                      morsel: bool = True) -> dict:
     """Aggregate one row stream into **partial** group states without
-    finalizing: the per-shard half of scatter-gather group-by.
+    finalizing: the accumulate half of every hash group-by (row, morsel
+    and the per-shard half of scatter-gather).
 
     Returns the internal groups map ``{key_tuple: (key_row, states)}``.
     Partials from several streams merge with
     :func:`gather_group_partials`; a single stream finalizes through
-    :func:`finalize_groups` (and
-    ``finalize_groups(partial_group_by(rows, ...))`` is row-for-row
-    identical to :func:`group_by` / :func:`group_by_morsel` over the
-    same input, which the parity tests assert).
+    :func:`finalize_groups`, which is all :func:`group_by` /
+    :func:`group_by_morsel` do.
 
     With ``morsel=True`` the accumulation runs the 1k-row morsel
-    pipeline with numpy kernel dispatch; ``morsel=False`` steps rows
-    through compiled closures one at a time.
+    pipeline with numpy kernel dispatch and compiled-closure fallback;
+    ``morsel=False`` steps rows one at a time through the expression
+    interpreter — the independent reference the morsel path is
+    differential-tested against.
     """
     groups: dict[tuple, tuple[Row, list]] = {}
-    if morsel:
-        _accumulate_groups_morsel(rows, keys, aggregates, groups)
-    else:
-        for row in rows:
-            key = tuple(expression.evaluate(row)
-                        for _name, expression in keys)
-            key_row = {name: value
-                       for (name, _e), value in zip(keys, key)}
-            entry = _group_entry(groups, key, key_row, aggregates)
-            for state in entry[1]:
-                state.step(row)
-    return groups
-
-
-def _accumulate_groups_morsel(rows: Iterable[Row],
-                              keys: Sequence[tuple[str, Expression]],
-                              aggregates: Sequence[tuple[str, Aggregate]],
-                              groups: dict) -> None:
-    """Morsel-batched accumulation into ``groups`` (shared by
-    :func:`group_by_morsel` and :func:`partial_group_by`)."""
+    if not morsel:
+        _step_groups(groups, rows, keys,
+                     [expression.evaluate for _name, expression in keys],
+                     aggregates)
+        return groups
     key_fns = [expression.compiled() for _name, expression in keys]
-    key_names = [name for name, _expression in keys]
-    key_output = key_names[0] if key_names else None
+    key_output = keys[0][0] if keys else None
     plan = _group_vector_plan(keys, aggregates)
-    for morsel in _morsels(rows):
-        if plan is not None and _fold_group_morsel(plan, morsel, groups,
+    for batch in _morsels(rows):
+        if plan is not None and _fold_group_morsel(plan, batch, groups,
                                                    aggregates, key_output):
             _GROUP_VECTOR.inc()
             continue
         _GROUP_FALLBACK.inc()
-        for row in morsel:
-            key = tuple(fn(row) for fn in key_fns)
-            entry = _group_entry(
-                groups, key, dict(zip(key_names, key)), aggregates)
-            for state in entry[1]:
-                state.step(row)
+        _step_groups(groups, batch, keys, key_fns, aggregates)
+    return groups
+
+
+def _step_groups(groups: dict, rows: Iterable[Row],
+                 keys: Sequence[tuple[str, Expression]], key_fns: list,
+                 aggregates: Sequence[tuple[str, Aggregate]]) -> None:
+    """Tuple-at-a-time accumulation into ``groups``: compute each row's
+    key through ``key_fns`` and step the group's aggregate states."""
+    for row in rows:
+        key = tuple(fn(row) for fn in key_fns)
+        entry = groups.get(key)
+        if entry is None:
+            key_row = {name: value for (name, _e), value in zip(keys, key)}
+            entry = _group_entry(groups, key, key_row, aggregates)
+        for state in entry[1]:
+            state.step(row)
 
 
 def gather_group_partials(partials_list: Sequence[dict],
@@ -675,9 +656,8 @@ def group_by_morsel(rows: Iterable[Row],
                     ) -> Iterator[Row]:
     """Morsel-batched hash aggregation: numpy grouped kernels when the
     shape and the batch allow, compiled-closure stepping otherwise."""
-    groups: dict[tuple, tuple[Row, list]] = {}
-    _accumulate_groups_morsel(rows, keys, aggregates, groups)
-    yield from finalize_groups(groups, keys, aggregates)
+    yield from finalize_groups(partial_group_by(rows, keys, aggregates),
+                               keys, aggregates)
 
 
 def normalize_output(item: Any) -> tuple[str, Expression]:

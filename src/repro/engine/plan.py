@@ -35,6 +35,7 @@ chain printed, so plan text is stable across the refactor.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Iterator, List, Optional, Sequence
 
 from repro.engine import executor
@@ -341,6 +342,11 @@ class ScatterNode(PlanNode):
         return iter(out)
 
 
+#: ``stage(node, produce) -> rows``: a per-node observer for
+#: :meth:`LogicalPlan.execute`
+Stage = Callable[[PlanNode, Callable[[], Iterator[Row]]], Iterator[Row]]
+
+
 class LogicalPlan:
     """A rewritten, executable plan: a source node plus operator tail."""
 
@@ -360,22 +366,35 @@ class LogicalPlan:
 
     def execute(self, morsel: bool,
                 hook: Optional[Callable[[Row], None]] = None,
-                scatter_policy: Optional[scattermod.ScatterPolicy] = None
-                ) -> Iterator[Row]:
-        """Lazy whole-plan execution.  ``hook`` (cancellation) fires on
-        every source row and, when operators exist, every result row —
-        the contract :meth:`Query.instrumented` documents."""
+                scatter_policy: Optional[scattermod.ScatterPolicy] = None,
+                stage: Optional[Stage] = None) -> Iterator[Row]:
+        """Run the plan — the only code that runs a plan's nodes.
+
+        Lazy unless ``stage`` says otherwise.  ``hook`` (cancellation)
+        fires on every source row and, when operators exist, every
+        result row — the contract :meth:`Query.instrumented` documents.
+        ``stage`` observes each node: it is called as
+        ``stage(node, produce)``, must call ``produce()`` (which runs the
+        node over its input) and returns the rows the next node reads;
+        EXPLAIN ANALYZE materializes and measures every stage this way.
+        """
         head, tail = self.nodes[0], self.nodes[1:]
         scatter = isinstance(head, ScatterNode)
         if scatter:
             head.hook = hook
             if scatter_policy is not None:
                 head.policy = scatter_policy
-        rows = head.execute(iter(()), morsel)
-        if hook is not None and not scatter:
-            rows = scattermod.hooked(rows, hook)
+
+        def scan() -> Iterator[Row]:
+            rows = head.execute(iter(()), morsel)
+            if hook is not None and not scatter:
+                rows = scattermod.hooked(rows, hook)
+            return rows
+
+        run = stage or (lambda _node, produce: produce())
+        rows = run(head, scan)
         for node in tail:
-            rows = node.execute(rows, morsel)
+            rows = run(node, functools.partial(node.execute, rows, morsel))
         if hook is not None and (tail or scatter):
             rows = scattermod.hooked(rows, hook)
         return rows

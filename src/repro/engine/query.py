@@ -51,7 +51,7 @@ class Query:
 
     def __init__(self, source: Source) -> None:
         self._source = source
-        self._ops: list[tuple[str, tuple]] = []
+        self._ops: tuple[tuple[str, tuple], ...] = ()
         self._mode: Optional[str] = None
         self._row_hook: Optional[Callable[[Row], None]] = None
         self._scatter_policy: Optional["planmod.scattermod.ScatterPolicy"] \
@@ -59,13 +59,16 @@ class Query:
 
     # -- builder -------------------------------------------------------------
 
-    def _with(self, op: str, *args: Any) -> "Query":
-        clone = Query(self._source)
-        clone._ops = self._ops + [(op, args)]
-        clone._mode = self._mode
-        clone._row_hook = self._row_hook
-        clone._scatter_policy = self._scatter_policy
+    def _clone(self, **changes: Any) -> "Query":
+        """Copy of this query with the named private fields replaced —
+        every builder method returns one; ``_ops`` is a tuple, so the
+        copies share it safely."""
+        clone = Query.__new__(Query)
+        clone.__dict__.update(self.__dict__, **changes)
         return clone
+
+    def _with(self, op: str, *args: Any) -> "Query":
+        return self._clone(_ops=self._ops + ((op, args),))
 
     def mode(self, mode: str) -> "Query":
         """Pin this plan's execution mode: ``"morsel"`` (batched,
@@ -73,37 +76,23 @@ class Query:
         benchmarks toggle this for before/after measurements."""
         if mode not in _VALID_MODES:
             raise QueryError(f"unknown execution mode {mode!r}")
-        clone = Query(self._source)
-        clone._ops = list(self._ops)
-        clone._mode = mode
-        clone._row_hook = self._row_hook
-        clone._scatter_policy = self._scatter_policy
-        return clone
+        return self._clone(_mode=mode)
 
     def instrumented(self, hook: Callable[[Row], None]) -> "Query":
         """Clone whose execution calls ``hook(row)`` for every source
         row consumed and every result row produced.  The serving layer
         uses this for cooperative cancellation and deadline checks: the
         hook raising aborts the pipeline at the next row boundary, even
-        mid-way through a long scan feeding a blocking operator."""
-        clone = Query(self._source)
-        clone._ops = list(self._ops)
-        clone._mode = self._mode
-        clone._row_hook = hook
-        clone._scatter_policy = self._scatter_policy
-        return clone
+        mid-way through a long scan feeding a blocking operator.
+        :meth:`profile` (EXPLAIN ANALYZE) applies it identically."""
+        return self._clone(_row_hook=hook)
 
     def with_scatter_policy(self, policy: Any) -> "Query":
         """Clone carrying an explicit
         :class:`~repro.engine.scatter.ScatterPolicy` — the serving
         layer's hook for wiring its ``CancelToken`` and session-level
         failure policy into scatter execution."""
-        clone = Query(self._source)
-        clone._ops = list(self._ops)
-        clone._mode = self._mode
-        clone._row_hook = self._row_hook
-        clone._scatter_policy = policy
-        return clone
+        return self._clone(_scatter_policy=policy)
 
     def on_shard_failure(self, on_failure: str) -> "Query":
         """Per-query shard-failure policy: ``"fail"`` (default —
@@ -192,10 +181,8 @@ class Query:
         """
         from repro.engine import scatter as scattermod
 
-        morsel = self._mode != "row"
         built = self._plan()
-        out = list(built.execute(morsel, hook=self._row_hook,
-                                 scatter_policy=self._scatter_policy))
+        out = list(self._execute(built))
         marker = built.degraded()
         if marker is None:
             return out
@@ -219,20 +206,27 @@ class Query:
         rewrite rules (scatter-gather fusion, predicate pushdown)."""
         return planmod.rewrite(planmod.build_plan(self._source, self._ops))
 
-    def _execute(self) -> Iterator[Row]:
-        morsel = self._mode != "row"
-        return self._plan().execute(morsel, hook=self._row_hook,
-                                    scatter_policy=self._scatter_policy)
+    def _execute(self, built: Optional["planmod.LogicalPlan"] = None,
+                 stage: Optional["planmod.Stage"] = None) -> Iterator[Row]:
+        """Run ``built`` (default: a freshly planned copy) in the pinned
+        mode with this query's hook and scatter policy — the one way
+        every execution entry point reaches the plan."""
+        built = built or self._plan()
+        return built.execute(self._mode != "row", hook=self._row_hook,
+                             scatter_policy=self._scatter_policy,
+                             stage=stage)
 
     def profile(self) -> dict:
         """Execute with per-operator attribution (the EXPLAIN ANALYZE
         engine).
 
-        Runs the pipeline one stage at a time with materialized
-        intermediates, so each stage's wall time, row counts and metric
-        deltas (cache hits/misses included) are attributed exactly to the
-        operator that caused them (lazy chaining would smear upstream
-        work into whichever stage pulled the rows).  Tracing is
+        Runs the plan through :meth:`LogicalPlan.execute` with a stage
+        observer that materializes each node's output, so each stage's
+        wall time, row counts and metric deltas (cache hits/misses
+        included) are attributed exactly to the operator that caused
+        them (lazy chaining would smear upstream work into whichever
+        stage pulled the rows).  The :meth:`instrumented` hook and the
+        scatter policy apply exactly as under :meth:`rows`.  Tracing is
         force-enabled for the duration so the query's span tree lands in
         the ring buffer for :func:`repro.obs.trace.export_traces`.
 
@@ -244,14 +238,12 @@ class Query:
         from repro.obs import metrics as _obs_metrics
         from repro.obs import trace as _obs_trace
 
-        morsel = self._mode != "row"
-        mode_name = "morsel" if morsel else "row"
-        source_name = getattr(self._source, "name",
-                              type(self._source).__name__)
+        mode_name = "row" if self._mode == "row" else "morsel"
         stages: list[dict] = []
 
-        def run_stage(label: str, op: str, batched: bool,
-                      produce) -> list[Row]:
+        def stage(node: "planmod.PlanNode",
+                  produce: Callable[[], Iterator[Row]]) -> Iterator[Row]:
+            label = node.label()
             metrics_before = _obs_metrics.snapshot_metrics()
             start = _obs_trace.monotonic()
             with _obs_trace.span("operator", op=label) as stage_span:
@@ -260,33 +252,24 @@ class Query:
             elapsed = (_obs_trace.monotonic() - start) * 1000.0
             stages.append({
                 "label": label,
-                "op": op,
-                "mode": mode_name if batched else "row",
+                "op": node.op,
+                "mode": mode_name if node.batched else "row",
                 "rows_in": stages[-1]["rows_out"] if stages else None,
                 "rows_out": len(out),
                 "elapsed_ms": elapsed,
                 "metrics": _obs_metrics.metric_deltas(
                     metrics_before, _obs_metrics.snapshot_metrics()),
             })
-            return out
+            return iter(out)
 
         built = self._plan()
-        if (self._scatter_policy is not None
-                and isinstance(built.nodes[0], planmod.ScatterNode)):
-            built.nodes[0].policy = self._scatter_policy
         previous_tracing = _obs_trace.set_tracing_enabled(True)
         start = _obs_trace.monotonic()
         try:
             with _obs_trace.span("query", mode=mode_name,
-                                 source=source_name) as query_span:
-                head = built.nodes[0]
-                rows = run_stage(head.label(), head.op, head.batched,
-                                 lambda: head.execute(iter(()), morsel))
-                for node in built.nodes[1:]:
-                    current = rows
-                    rows = run_stage(
-                        node.label(), node.op, node.batched,
-                        lambda: node.execute(iter(current), morsel))
+                                 source=planmod.source_name(self._source)
+                                 ) as query_span:
+                rows = list(self._execute(built, stage))
                 query_span.record("rows_out", len(rows))
         finally:
             _obs_trace.set_tracing_enabled(previous_tracing)

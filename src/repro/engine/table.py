@@ -11,7 +11,7 @@ this way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.engine.constraints import Constraint, IsJsonConstraint
 from repro.engine.expressions import Expression
@@ -380,10 +380,16 @@ class DurableTable(Table):
         scans; omit it to pin the current state."""
         if snapshot is None:
             snapshot = self._store.snapshot()
+        yield from self._document_rows(snapshot.documents())
+
+    def _document_rows(self, documents: Iterable[tuple[int, Any]]
+                       ) -> Iterator[dict[str, Any]]:
+        """Rows of ``(doc_id, document)`` pairs: absent stored columns
+        read NULL, virtual columns are evaluated per row."""
         stored_names = {c.name for c in self._columns.values()
                         if not c.is_virtual}
         virtuals = [c for c in self._columns.values() if c.is_virtual]
-        for _, document in snapshot.documents():
+        for _, document in documents:
             row = _document_to_row(document)
             for name in stored_names - set(row):
                 row[name] = None
@@ -412,8 +418,8 @@ class DurableTable(Table):
             snapshot = self._store.snapshot()
         shards = [
             ShardInput(index,
-                       lambda index=index: self._shard_rows(snapshot,
-                                                            index),
+                       lambda index=index: self._document_rows(
+                           snapshot.shard_documents(index)),
                        snapshot.guides[index])
             for index in range(snapshot.shard_count)]
         return ShardPlanInfo(self.name, shards, self.prune_path,
@@ -429,19 +435,6 @@ class DurableTable(Table):
             return None
         from repro.core.dataguide.model import child_path
         return child_path("$", column)
-
-    def _shard_rows(self, snapshot: Any,
-                    index: int) -> Iterator[dict[str, Any]]:
-        stored_names = {c.name for c in self._columns.values()
-                        if not c.is_virtual}
-        virtuals = [c for c in self._columns.values() if c.is_virtual]
-        for _, document in snapshot.shard_documents(index):
-            row = _document_to_row(document)
-            for name in stored_names - set(row):
-                row[name] = None
-            for column in virtuals:
-                row[column.name] = column.expression.evaluate(row)
-            yield row
 
     def checkpoint(self) -> None:
         self._store.checkpoint()

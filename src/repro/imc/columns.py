@@ -44,7 +44,7 @@ class ColumnVector:
         in JSON) degrade to STRING, matching the DataGuide's type
         generalization.
         """
-        kind = _infer_kind(values)
+        kind = infer_kind(values)
         n = len(values)
         valid = np.fromiter((v is not None for v in values), dtype=np.bool_,
                             count=n)
@@ -58,7 +58,7 @@ class ColumnVector:
                 dtype=np.bool_, count=n)
         else:
             data = np.array(
-                ["" if v is None else _as_text(v) for v in values])
+                ["" if v is None else as_text(v) for v in values])
         return cls(name, kind, data, valid)
 
     # -- memory accounting -------------------------------------------------
@@ -83,7 +83,9 @@ class ColumnVector:
         return [self.value_at(i) for i in range(len(self))]
 
 
-def _infer_kind(values: Iterable[Any]) -> str:
+def infer_kind(values: Iterable[Any]) -> str:
+    """The column kind for ``values`` — the one vocabulary vectors and
+    durable segments (:mod:`repro.imc.segments`) share."""
     saw_number = saw_string = saw_bool = False
     for value in values:
         if value is None:
@@ -106,7 +108,8 @@ def _infer_kind(values: Iterable[Any]) -> str:
     return NUMERIC  # all-NULL column; numeric representation is cheapest
 
 
-def _as_text(value: Any) -> str:
+def as_text(value: Any) -> str:
+    """A STRING column's text for ``value`` (JSON spelling of booleans)."""
     if value is True:
         return "true"
     if value is False:

@@ -42,6 +42,7 @@ from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.core.oson import decode as oson_decode
 from repro.core.oson import encode as oson_encode
 from repro.errors import OsonError, StorageError
+from repro.imc.columns import BOOL, NUMERIC, STRING, as_text, infer_kind
 
 # NOTE: repro.storage.framing is imported lazily inside the codec
 # functions.  A module-level import would run the repro.storage package
@@ -50,10 +51,6 @@ from repro.errors import OsonError, StorageError
 
 SEGMENT_FORMAT = "repro-imc-segment"
 SEGMENT_VERSION = 1
-
-KIND_NUMERIC = "numeric"
-KIND_BOOL = "bool"
-KIND_STRING = "string"
 
 #: integers above this lose fidelity through the float64 value array
 MAX_EXACT_INT = 1 << 53
@@ -99,32 +96,6 @@ def encodable_values(values: Sequence[Any]) -> bool:
     return saw_number + saw_string + saw_bool <= 1
 
 
-def _infer_kind(values: Sequence[Any]) -> str:
-    saw_number = saw_string = saw_bool = False
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            saw_bool = True
-        elif isinstance(value, (int, float)):
-            saw_number = True
-        else:
-            saw_string = True
-    if saw_string:
-        return KIND_STRING
-    if saw_bool and not saw_number:
-        return KIND_BOOL
-    return KIND_NUMERIC
-
-
-def _as_text(value: Any) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
-
-
 def encode_column_segment(table: str, column: str,
                           doc_ids: Sequence[int],
                           values: Sequence[Any]) -> bytes:
@@ -141,24 +112,24 @@ def encode_column_segment(table: str, column: str,
         raise StorageError(
             f"segment for {table}.{column}: document ids not ascending")
     from repro.storage.framing import frame
-    kind = _infer_kind(values)
+    kind = infer_kind(values)
     n = len(values)
     meta = {"format": SEGMENT_FORMAT, "version": SEGMENT_VERSION,
             "table": table, "column": column, "kind": kind, "rows": n}
     out = [frame(oson_encode(meta)),
            frame(struct.pack(f"<{n}q", *doc_ids)),
            frame(bytes(0 if v is None else 1 for v in values))]
-    if kind == KIND_NUMERIC:
+    if kind == NUMERIC:
         floats = struct.pack(
             f"<{n}d", *(0.0 if v is None else float(v) for v in values))
         was_int = bytes(1 if isinstance(v, int) and not isinstance(v, bool)
                         else 0 for v in values)
         out.append(frame(floats))
         out.append(frame(was_int))
-    elif kind == KIND_BOOL:
+    elif kind == BOOL:
         out.append(frame(bytes(1 if v else 0 for v in values)))
     else:
-        encoded = [b"" if v is None else _as_text(v).encode("utf-8")
+        encoded = [b"" if v is None else as_text(v).encode("utf-8")
                    for v in values]
         offsets = [0]
         for piece in encoded:
@@ -216,7 +187,7 @@ def decode_column_segment(data: bytes) -> ColumnSegment:
     if doc_ids != sorted(doc_ids):
         raise StorageError("segment document ids not ascending")
     valid = frames[2]
-    if kind == KIND_NUMERIC:
+    if kind == NUMERIC:
         if len(frames) != 5 or len(frames[3]) != 8 * n or len(frames[4]) != n:
             raise StorageError("numeric segment value frames malformed")
         floats = struct.unpack(f"<{n}d", frames[3])
@@ -225,13 +196,13 @@ def decode_column_segment(data: bytes) -> ColumnSegment:
             None if not valid[i]
             else (int(floats[i]) if was_int[i] else floats[i])
             for i in range(n)]
-    elif kind == KIND_BOOL:
+    elif kind == BOOL:
         if len(frames) != 4 or len(frames[3]) != n:
             raise StorageError("bool segment value frame malformed")
         flags = frames[3]
         values = [None if not valid[i] else bool(flags[i])
                   for i in range(n)]
-    elif kind == KIND_STRING:
+    elif kind == STRING:
         if len(frames) != 5 or len(frames[3]) != 4 * (n + 1):
             raise StorageError("string segment offset frame malformed")
         offsets = struct.unpack(f"<{n + 1}I", frames[3])

@@ -75,7 +75,7 @@ MAX_REPORTS = 200
 
 _enabled = os.environ.get("REPRO_SANITIZE", "") not in ("", "0", "false")
 
-_hold_threshold_ms = float(os.environ.get("REPRO_SANITIZE_HOLD_MS", "50"))
+_hold_threshold_ms = 50.0
 
 #: per-thread acquisition stack of live (SanitizedLock, t_acquire,
 #: "file:line") records — thread-confined, so no locking needed

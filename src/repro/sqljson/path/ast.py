@@ -247,19 +247,3 @@ class JsonPath:
     def __str__(self) -> str:
         prefix = "" if self.mode == LAX else "strict "
         return prefix + "$" + "".join(str(s) for s in self.steps)
-
-    @property
-    def is_singleton(self) -> bool:
-        """True if the path can select at most one item per document in
-        strict structural terms: no wildcards, descendants, ranges or
-        filters.  Used by AddVC to decide virtual-column eligibility."""
-        for step in self.steps:
-            if isinstance(step, (WildcardMemberStep, DescendantStep, FilterStep)):
-                return False
-            if isinstance(step, ArrayStep):
-                if step.is_wildcard or len(step.indexes) != 1:
-                    return False
-                index = step.indexes[0]
-                if index.end is not None:
-                    return False
-        return True

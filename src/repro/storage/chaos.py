@@ -27,17 +27,13 @@ pass first, then every matched op faults until ``limit`` fires have
 landed — long enough to drive a shard's health machine to ``failed``,
 finite so probes find the shard alive again and recovery is exercised.
 
-Enablement: programmatic ``install(ChaosPlan(...))`` (tests use the
-``active(plan)`` context manager), or the ``REPRO_CHAOS`` environment
-variable — ``REPRO_CHAOS=<seed>[:<rate>]`` installs a background
-sprinkle of io_error + latency across every fault point at process
-start.  Disabled (the default) a fault point is one global read and a
-``None`` check.
+Enablement is programmatic: ``install(ChaosPlan(...))`` (tests use the
+``active(plan)`` context manager).  Disabled (the default) a fault
+point is one global read and a ``None`` check.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -48,7 +44,6 @@ from repro.obs import locks as _locks
 from repro.obs import metrics as _metrics
 
 __all__ = [
-    "CHAOS_ENV",
     "IO_ERROR",
     "LATENCY",
     "UNAVAILABLE",
@@ -59,11 +54,8 @@ __all__ = [
     "fault_point",
     "install",
     "installed",
-    "plan_from_env",
     "uninstall",
 ]
-
-CHAOS_ENV = "REPRO_CHAOS"
 
 IO_ERROR = "io_error"
 LATENCY = "latency"
@@ -118,15 +110,6 @@ class ChaosPlan:
         for rule in self.rules:
             if rule.kind not in KINDS:
                 raise ValueError(f"unknown chaos kind {rule.kind!r}")
-
-    @classmethod
-    def sprinkle(cls, seed: int, rate: float = 0.02) -> "ChaosPlan":
-        """The background-noise plan ``REPRO_CHAOS`` installs: a light
-        deterministic drizzle of IO errors and latency everywhere."""
-        return cls(seed=seed, rules=(
-            ChaosRule(point="", kind=IO_ERROR, rate=rate),
-            ChaosRule(point="", kind=LATENCY, rate=rate, latency_ms=1.0),
-        ))
 
 
 @dataclass
@@ -228,29 +211,3 @@ def fault_point(point: str, shard: Optional[int] = None) -> None:
     if injector is not None:
         injector.fault_point(point, shard)
 
-
-def plan_from_env(value: Optional[str]) -> Optional[ChaosPlan]:
-    """Parse ``REPRO_CHAOS`` — ``<seed>`` or ``<seed>:<rate>`` — into
-    the sprinkle plan; None for unset/disabled/unparseable values (a
-    typo must not silently run the suite under chaos)."""
-    if not value or value.strip().lower() in ("0", "false", "off"):
-        return None
-    seed_text, _, rate_text = value.partition(":")
-    try:
-        seed = int(seed_text)
-        rate = float(rate_text) if rate_text else 0.02
-    except ValueError:
-        return None
-    if not 0.0 < rate <= 1.0:
-        return None
-    return ChaosPlan.sprinkle(seed, rate)
-
-
-def install_from_env() -> Optional[ChaosInjector]:
-    plan = plan_from_env(os.environ.get(CHAOS_ENV))
-    if plan is None:
-        return None
-    return install(plan)
-
-
-install_from_env()

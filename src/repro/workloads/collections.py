@@ -349,7 +349,3 @@ def collection(name: str, scale: float = 1.0) -> list[dict[str, Any]]:
     count = max(1, int(base_count * scale))
     return generator(count)
 
-
-def all_collections(scale: float = 1.0) -> list[tuple[str, list[dict[str, Any]]]]:
-    """All twelve collections, in the paper's Table 10 row order."""
-    return [(name, collection(name, scale)) for name in COLLECTION_NAMES]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Query, expr
 from repro.errors import QueryError
+from repro.obs import take_spans
 
 _VALUES = st.one_of(
     st.none(),
@@ -58,15 +59,24 @@ def _predicates():
     )
 
 
+def _outcome(run):
+    try:
+        return ("rows", run())
+    except QueryError as exc:
+        return ("error", str(exc))
+
+
 def _compare_modes(build):
-    """Run the same plan in both modes; exceptions must match too."""
+    """Run the same plan in both modes, through ``rows()`` and through
+    ``profile()`` (the EXPLAIN ANALYZE runner); every outcome —
+    exceptions included — must match."""
     outcomes = []
     for mode in ("row", "morsel"):
-        try:
-            outcomes.append(("rows", build().mode(mode).rows()))
-        except QueryError as exc:
-            outcomes.append(("error", str(exc)))
-    assert outcomes[0] == outcomes[1]
+        query = build().mode(mode)
+        outcomes.append(_outcome(query.rows))
+        outcomes.append(_outcome(lambda: query.profile()["rows"]))
+    take_spans()
+    assert all(outcome == outcomes[0] for outcome in outcomes)
     return outcomes[0]
 
 

@@ -1,4 +1,4 @@
-"""Runtime chaos injector: seeded decisions, fault windows, env gate.
+"""Runtime chaos injector: seeded decisions, fault windows, install.
 
 The load-bearing property is determinism — a chaos-sweep failure must
 replay from its printed seed alone — so every decision is asserted to
@@ -174,37 +174,3 @@ class TestInstallation:
         assert row["fired"] == 2
         assert row["kind"] == chaos.IO_ERROR
 
-
-class TestEnvParsing:
-    @pytest.mark.parametrize("value", [None, "", "0", "off", "FALSE",
-                                       "banana", "7:2.0", "7:0"])
-    def test_disabled_or_invalid(self, value):
-        assert chaos.plan_from_env(value) is None
-
-    def test_seed_only(self):
-        plan = chaos.plan_from_env("42")
-        assert plan is not None
-        assert plan.seed == 42
-        assert all(rule.rate == 0.02 for rule in plan.rules)
-
-    def test_seed_and_rate(self):
-        plan = chaos.plan_from_env("42:0.5")
-        assert plan.seed == 42
-        assert all(rule.rate == 0.5 for rule in plan.rules)
-
-    def test_sprinkle_covers_every_point(self):
-        plan = chaos.ChaosPlan.sprinkle(1, rate=1.0)
-        kinds = {rule.kind for rule in plan.rules}
-        assert kinds == {chaos.IO_ERROR, chaos.LATENCY}
-        for rule in plan.rules:
-            for point in chaos.POINTS:
-                assert rule.matches(point, None)
-
-    def test_install_from_env(self, monkeypatch):
-        monkeypatch.setenv(chaos.CHAOS_ENV, "9:0.1")
-        injector = chaos.install_from_env()
-        try:
-            assert injector is not None
-            assert injector.plan.seed == 9
-        finally:
-            chaos.uninstall()
