@@ -2,7 +2,9 @@
 
 The paper's shape: evaluating the 11 NOBENCH queries over in-memory OSON
 is dramatically faster than over cached JSON text, because TEXT mode must
-re-tokenize every document per query while OSON jump-navigates.
+re-tokenize every document per query while OSON jump-navigates.  Both
+modes run the same SQL text through the engine: TEXT over a CLOB table
+of JSON text, OSON-IMC over a BLOB table of OSON images.
 """
 
 import time
@@ -10,47 +12,37 @@ import time
 import pytest
 
 from benchmarks.conftest import report, scaled
-from repro.imc.json_modes import JsonColumnIMC, OSON_IMC_MODE, TEXT_MODE
-from repro.jsontext import dumps
-from repro.workloads.nobench import NobenchGenerator, NobenchQueries
+from repro.engine import Database
+from repro.engine.sql import execute_sql
+from repro.workloads.nobench import NobenchGenerator, load_nobench, nobench_sql
 
 N = scaled(1200)
-QUERIES = ["q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8", "q9", "q10",
-           "q11"]
+SQL = nobench_sql(N)
+QUERIES = list(SQL)
 
 
 @pytest.fixture(scope="module")
-def texts():
-    return [dumps(d) for d in NobenchGenerator().documents(N)]
-
-
-def _make(texts, mode):
-    imc = JsonColumnIMC(mode)
-    imc.load_texts(texts)
-    imc.populate()
-    return NobenchQueries(imc, N)
+def documents():
+    return list(NobenchGenerator().documents(N))
 
 
 @pytest.fixture(scope="module")
-def text_queries(texts):
-    return _make(texts, TEXT_MODE)
+def databases(documents):
+    databases = {"text": Database(), "oson-imc": Database()}
+    for label, db in databases.items():
+        load_nobench(db, documents, binary=label == "oson-imc")
+    return databases
 
 
 @pytest.fixture(scope="module")
-def oson_queries(texts):
-    return _make(texts, OSON_IMC_MODE)
-
-
-@pytest.fixture(scope="module")
-def timing_table(text_queries, oson_queries):
+def timing_table(databases):
     times = {}
     for qid in QUERIES:
-        for label, queries in (("text", text_queries),
-                               ("oson-imc", oson_queries)):
+        for label, db in databases.items():
             start = time.perf_counter()
-            result = getattr(queries, qid)()
+            rows = execute_sql(db, SQL[qid])
             times[(qid, label)] = time.perf_counter() - start
-            times[(qid, label, "size")] = len(result)
+            times[(qid, label, "size")] = len(rows)
         assert times[(qid, "text", "size")] == times[(qid, "oson-imc", "size")]
     lines = [f"{'query':<6}{'TEXT ms':>12}{'OSON-IMC ms':>14}{'speedup':>10}"]
     total_text = total_oson = 0.0
@@ -79,23 +71,16 @@ def _assert_shape(times):
 
 @pytest.mark.parametrize("mode", ["text", "oson-imc"])
 @pytest.mark.parametrize("qid", QUERIES)
-def test_figure5_query(benchmark, text_queries, oson_queries, timing_table,
-                       qid, mode):
-    queries = text_queries if mode == "text" else oson_queries
-    benchmark(getattr(queries, qid))
+def test_figure5_query(benchmark, databases, timing_table, qid, mode):
+    benchmark(execute_sql, databases[mode], SQL[qid])
 
 
 def test_figure5_shape(timing_table):
     _assert_shape(timing_table)
 
 
-def test_figure5_populate_cost(benchmark, texts):
+def test_figure5_populate_cost(benchmark, documents):
     """The one-time OSON() population cost (implicit virtual column of
     section 5.2.2) — priced but excluded from the per-query numbers."""
-    def populate():
-        imc = JsonColumnIMC(OSON_IMC_MODE)
-        imc.load_texts(texts)
-        imc.populate()
-        return imc
-    imc = benchmark(populate)
-    assert len(imc) == N
+    table = benchmark(lambda: load_nobench(Database(), documents, binary=True))
+    assert len(table) == N

@@ -24,7 +24,7 @@ from repro.engine.table import DurableTable
 from repro.imc import IMCStore
 from repro.jsontext import dumps
 from repro.storage import CollectionStore
-from repro.workloads.nobench import NobenchGenerator, VC_PATHS
+from repro.workloads.nobench import NobenchGenerator, add_vc_columns
 
 N = scaled(2000)
 REPS = 3
@@ -32,21 +32,13 @@ GATE_FACTOR = 3.0
 RESULTS_PATH = os.environ.get("REPRO_BENCH_IMC_PERSIST",
                               "BENCH_imc_persist.json")
 
-#: the Figure 5/6 virtual columns, as JSON_VALUE expressions over the
-#: stored document text
-VC_COLUMNS = [(path.split(".")[-1], path, returning)
-              for path, returning in VC_PATHS]
-VC_NAMES = [name for name, _path, _ret in VC_COLUMNS]
-
 
 def make_table(store):
+    """The NOBENCH text table over ``store`` with the Figure 5/6 virtual
+    columns; returns (table, virtual column names)."""
     table = DurableTable("nb", [Column("id", NUMBER),
                                 Column("jdoc", CLOB)], store)
-    for name, path, returning in VC_COLUMNS:
-        table.add_column(Column(name, NUMBER if returning else CLOB,
-                                expression=expr.JsonValueExpr(
-                                    "jdoc", path, returning=returning)))
-    return table
+    return table, add_vc_columns(table)
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +50,11 @@ def seeded(tmp_path_factory):
             "rebuild": str(base / "rebuild-only")}
     for label, directory in dirs.items():
         store = CollectionStore.create(directory)
-        table = make_table(store)
+        table, names = make_table(store)
         for i, text in enumerate(texts):
             table.insert({"id": i, "jdoc": text})
         if label == "segments":
-            IMCStore().populate(table, VC_NAMES)  # registers the provider
+            IMCStore().populate(table, names)  # registers the provider
         store.checkpoint()  # lifts segments only where populated
         store.close()
     return dirs
@@ -72,13 +64,13 @@ def cold_populate(directory):
     """One cold start: open, bind, populate the VC columns; returns
     (elapsed seconds of the populate only, loaded values, imc)."""
     store = CollectionStore.open(directory)
-    table = make_table(store)
+    table, names = make_table(store)
     imc = IMCStore()
     imc.bind(table)
     start = time.perf_counter()
-    imc.populate(table, VC_NAMES)
+    imc.populate(table, names)
     elapsed = time.perf_counter() - start
-    values = {name: imc.column("nb", name).to_list() for name in VC_NAMES}
+    values = {name: imc.column("nb", name).to_list() for name in names}
     quarantines = len(imc.segment_quarantines())
     store.close()
     return elapsed, values, quarantines
@@ -103,7 +95,7 @@ def timing_table(seeded):
 
     # the projection contract, read back out of EXPLAIN ANALYZE
     store = CollectionStore.open(seeded["segments"])
-    table = make_table(store)
+    table, _names = make_table(store)
     IMCStore().bind(table)
     analyze = (Query(table)
                .where(expr.Col("num") > 500)
@@ -120,9 +112,9 @@ def timing_table(seeded):
         f"{'speedup':<24}{speedup:>17.1f}x",
     ]
     report(f"Persistent IMC — cold start, {N} NOBENCH documents, "
-           f"{len(VC_NAMES)} virtual columns", lines)
+           f"{len(reference)} virtual columns", lines)
 
-    results = {"n_docs": N, "reps": REPS, "columns": VC_NAMES,
+    results = {"n_docs": N, "reps": REPS, "columns": list(reference),
                "rebuild_ms": round(best["rebuild"] * 1000, 3),
                "segments_ms": round(best["segments"] * 1000, 3),
                "speedup": round(speedup, 2),

@@ -41,6 +41,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence
 from repro.engine import executor
 from repro.engine import scatter as scattermod
 from repro.engine.expressions import Expression, WindowFunction
+from repro.engine.types import BlobType, RawType
 from repro.errors import QueryError
 
 Row = dict
@@ -584,9 +585,12 @@ class IMCScanRule:
             return plan
         columns = sorted(needed)
         # COUNT(*)-only prefixes reference nothing: a zero-column scan
-        # cannot carry the row count, so leave those to the row path
-        if not columns or not all(source.has_column(name)
-                                  for name in columns):
+        # cannot carry the row count, so leave those to the row path;
+        # binary values (an OSON BLOB) have no column-vector kind
+        if not columns or not all(
+                source.has_column(name) and not isinstance(
+                    source.column(name).sql_type, (BlobType, RawType))
+                for name in columns):
             return plan
         return LogicalPlan([IMCScanNode(source, imc, columns)]
                            + nodes[1:])

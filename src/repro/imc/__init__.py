@@ -13,9 +13,13 @@ stand in for Oracle Database In-Memory's SIMD columnar engine:
 * :mod:`~repro.imc.segments` — durable CRC-checksummed column segments
   (the persistent IMC form, pinned by the storage manifest);
 * :mod:`~repro.imc.delta` — row-wise delta buffers for the LSM-style
-  merged base+delta read path;
-* :mod:`~repro.imc.json_modes` — the three JSON execution modes of
-  Figures 5/6: TEXT-MODE, OSON-IMC-MODE and VC-IMC-MODE.
+  merged base+delta read path.
+
+The paper's three JSON execution modes of Figures 5/6 are table setups,
+not a second store (see :mod:`repro.workloads.nobench`): TEXT-MODE is a
+CLOB table, OSON-IMC-MODE a BLOB table of OSON images, and VC-IMC-MODE
+that table with JSON_VALUE virtual columns populated into an
+:class:`IMCStore`.
 """
 
 from repro.imc.columns import ColumnVector
@@ -25,7 +29,6 @@ from repro.imc.segments import (ColumnSegment, SegmentQuarantine,
                                 encode_column_segment,
                                 verify_column_segment)
 from repro.imc.store import IMCStore
-from repro.imc.json_modes import JsonColumnIMC, OSON_IMC_MODE, TEXT_MODE, VC_IMC_MODE
 
 __all__ = [
     "ColumnSegment",
@@ -36,8 +39,4 @@ __all__ = [
     "decode_column_segment",
     "encode_column_segment",
     "verify_column_segment",
-    "JsonColumnIMC",
-    "TEXT_MODE",
-    "OSON_IMC_MODE",
-    "VC_IMC_MODE",
 ]

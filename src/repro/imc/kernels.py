@@ -47,11 +47,6 @@ def compare(column: ColumnVector, op: str, value: Any) -> np.ndarray:
     return mask & column.valid
 
 
-def between(column: ColumnVector, low: Any, high: Any) -> np.ndarray:
-    """Vectorized ``low <= column < high`` (NOBENCH's range predicates)."""
-    return compare(column, ">=", low) & compare(column, "<", high)
-
-
 def isin(column: ColumnVector, values: list[Any]) -> np.ndarray:
     mask = np.zeros(len(column), dtype=np.bool_)
     for value in values:
@@ -86,38 +81,6 @@ def agg_sum(column: ColumnVector,
     if not mask.any():
         return None
     return float(column.values[mask].sum())
-
-
-def agg_min(column: ColumnVector,
-            selection: Optional[np.ndarray] = None) -> Any:
-    mask = column.valid if selection is None else (column.valid & selection)
-    if not mask.any():
-        return None
-    selected = column.values[mask]
-    # numpy's min/max ufuncs lack unicode loops; np.sort handles strings
-    value = selected.min() if column.kind == NUMERIC else np.sort(selected)[0]
-    return _unbox(column, value)
-
-
-def agg_max(column: ColumnVector,
-            selection: Optional[np.ndarray] = None) -> Any:
-    mask = column.valid if selection is None else (column.valid & selection)
-    if not mask.any():
-        return None
-    selected = column.values[mask]
-    value = selected.max() if column.kind == NUMERIC else np.sort(selected)[-1]
-    return _unbox(column, value)
-
-
-def agg_avg(column: ColumnVector,
-            selection: Optional[np.ndarray] = None) -> Optional[float]:
-    if column.kind != NUMERIC:
-        raise QueryError("AVG requires a numeric column")
-    mask = column.valid if selection is None else (column.valid & selection)
-    count = int(np.count_nonzero(mask))
-    if count == 0:
-        return None
-    return float(column.values[mask].sum()) / count
 
 
 def group_by_sum(keys: ColumnVector, values: ColumnVector,

@@ -9,23 +9,31 @@ from a 1 000-field space, so a large collection exercises all 1 000+
 distinct paths — beyond Oracle's 1 000-column relational limit, which is
 the paper's argument for not shredding.
 
-:class:`NobenchGenerator` reproduces that schema deterministically;
-:class:`NobenchQueries` implements the 11 queries over any document
-source (text / OSON handles via the SQL/JSON operators, or VC-IMC column
-vectors for the queries the paper lists as VC-eligible: Q6, Q7, Q10, Q11).
+:class:`NobenchGenerator` reproduces that schema deterministically, and
+:func:`nobench_sql` spells the 11 queries as SQL text over the table
+``nb(id NUMBER, jdoc CLOB|BLOB)`` that :func:`load_nobench` builds.  The
+paper's three execution modes (section 6.4) are three setups of it:
+
+* TEXT — ``jdoc`` is a CLOB of JSON text, re-parsed by every query;
+* OSON-IMC — ``jdoc`` is a BLOB of OSON images (``binary=True``), which
+  every query jump-navigates;
+* VC-IMC — the BLOB table plus :func:`add_vc_columns`' three JSON_VALUE
+  virtual columns populated into an :class:`~repro.imc.IMCStore`;
+  :func:`vc_sql` spells Q6, Q7 and Q10 over them.
 """
 
 from __future__ import annotations
 
 
 from repro.workloads._seeds import rng_for
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator
 
-import numpy as np
-
-from repro.imc import kernels
-from repro.imc.json_modes import JsonColumnIMC
-from repro.sqljson.operators import json_exists, json_value
+from repro.core import oson
+from repro.engine import CLOB, Column, Database, NUMBER, Query, Table
+from repro.engine.expressions import JsonValueExpr
+from repro.engine.types import BLOB
+from repro.engine.view import QueryView
+from repro.jsontext import dumps
 
 SPARSE_FIELD_COUNT = 1000
 SPARSE_PER_DOCUMENT = 10
@@ -104,194 +112,96 @@ class NobenchGenerator:
             yield doc
 
 
-class NobenchQueries:
-    """The 11 NOBENCH queries over a :class:`JsonColumnIMC` source.
+def load_nobench(db: Database, documents: Iterable[dict[str, Any]],
+                 binary: bool = False) -> Table:
+    """Create ``nb`` holding ``documents`` (ids from 0): ``jdoc`` is a
+    CLOB of JSON text, or with ``binary`` a BLOB of OSON images.  Also
+    registers Q11's two join sides, ``nb_l(probe)`` and ``nb_r(str1)``."""
+    table = db.create_table("nb", [Column("id", NUMBER),
+                                   Column("jdoc", BLOB if binary else CLOB)])
+    encode = oson.encode if binary else dumps
+    table.insert_many([{"id": i, "jdoc": encode(doc)}
+                       for i, doc in enumerate(documents)])
+    for name, path, output in (("nb_l", "$.nested_obj.str", "probe"),
+                               ("nb_r", "$.str1", "str1")):
+        db.register_view(QueryView(name, Query(table).select(
+            JsonValueExpr("jdoc", path).as_(output))))
+    return table
 
-    Every query method returns its result rows/values; selective
-    parameters default to NOBENCH's published selectivities (0.1 % ranges,
-    single-document point lookups).  When the source is in VC-IMC mode
-    and the query touches only VC paths, the vectorized kernel path is
-    used — these are the Figure 6 bars.
+
+def add_vc_columns(table: Table) -> list[str]:
+    """Add the :data:`VC_PATHS` virtual columns over ``jdoc`` (``str1``,
+    ``num``, ``dyn1``) to ``table``; returns their names, ready for
+    ``IMCStore().populate(table, names)``."""
+    names = []
+    for path, returning in VC_PATHS:
+        name = path.split(".")[-1]
+        table.add_column(Column(name, NUMBER if returning else CLOB,
+                                expression=JsonValueExpr(
+                                    "jdoc", path, returning=returning)))
+        names.append(name)
+    return names
+
+
+#: the VC_PATHS definitions of ``num`` and ``dyn1`` — RETURNING NUMBER
+#: makes Q7 read only dyn1's numeric instances
+_NUM = "JSON_VALUE(jdoc, '$.num' RETURNING NUMBER)"
+_DYN1 = "JSON_VALUE(jdoc, '$.dyn1' RETURNING NUMBER)"
+
+
+def nobench_sql(n: int) -> dict[str, str]:
+    """NOBENCH Q1-Q11 over ``nb`` as SQL text, keyed ``q1``..``q11``.
+
+    Selective literals follow NOBENCH's published selectivities for
+    ``n`` documents (single-document point lookups, 0.1 % ranges) and
+    are inlined, because Q8's needle lives inside its path.  Q10 groups
+    by ``thousandth`` itself; Q11 joins :func:`load_nobench`'s two views.
     """
+    def value(path: str) -> str:
+        return f"JSON_VALUE(jdoc, '$.{path}')"
 
-    def __init__(self, source: JsonColumnIMC, document_count: int) -> None:
-        self.source = source
-        self.n = document_count
+    def sparse_pair(a: str, b: str) -> str:
+        return (f"SELECT {value(a)} {a}, {value(b)} {b} FROM nb "
+                f"WHERE JSON_EXISTS(jdoc, '$.{a}') "
+                f"OR JSON_EXISTS(jdoc, '$.{b}')")
 
-    # -- projection queries ----------------------------------------------------
+    needle = _base32ish(n // 5)
+    return {
+        "q1": f"SELECT {value('str1')} str1, {value('num')} num FROM nb",
+        "q2": (f"SELECT {value('nested_obj.str')} str, "
+               f"{value('nested_obj.num')} num FROM nb"),
+        "q3": sparse_pair("sparse_110", "sparse_119"),
+        "q4": sparse_pair("sparse_110", "sparse_220"),
+        "q5": (f"SELECT id, jdoc FROM nb "
+               f"WHERE {value('str1')} = '{_base32ish(n // 2)}'"),
+        "q6": _range_sql(_NUM, n // 3, n),
+        "q7": _range_sql(_DYN1, n // 4, n),
+        "q8": (f"SELECT id, jdoc FROM nb WHERE JSON_EXISTS(jdoc, "
+               f"'$.nested_arr[*]?(@ == \"{needle}\")')"),
+        "q9": (f"SELECT id, jdoc FROM nb "
+               f"WHERE {value('sparse_550')} IS NOT NULL"),
+        "q10": _group_sum_sql(_NUM),
+        "q11": "SELECT COUNT(*) matches FROM nb_l JOIN nb_r ON probe = str1",
+    }
 
-    def q1(self) -> list[tuple[Any, Any]]:
-        """Project two common top-level fields (str1, num)."""
-        return [(json_value(h, "$.str1"), json_value(h, "$.num"))
-                for h in self.source.handles()]
 
-    def q2(self) -> list[tuple[Any, Any]]:
-        """Project nested object fields."""
-        return [(json_value(h, "$.nested_obj.str"),
-                 json_value(h, "$.nested_obj.num"))
-                for h in self.source.handles()]
+def vc_sql(n: int) -> dict[str, str]:
+    """Q6, Q7 and Q10 of :func:`nobench_sql` spelled over the virtual
+    columns ``num`` / ``dyn1`` (Figure 6): the same expressions by name,
+    so a populated IMC can serve them."""
+    return {"q6": _range_sql("num", n // 3, n),
+            "q7": _range_sql("dyn1", n // 4, n),
+            "q10": _group_sum_sql("num")}
 
-    def q3(self) -> list[tuple[Any, Any]]:
-        """Project two sparse fields from the same cluster."""
-        return [(json_value(h, "$.sparse_110"), json_value(h, "$.sparse_119"))
-                for h in self.source.handles()
-                if json_exists(h, "$.sparse_110")
-                or json_exists(h, "$.sparse_119")]
 
-    def q4(self) -> list[tuple[Any, Any]]:
-        """Project two sparse fields from different clusters."""
-        return [(json_value(h, "$.sparse_110"), json_value(h, "$.sparse_220"))
-                for h in self.source.handles()
-                if json_exists(h, "$.sparse_110")
-                or json_exists(h, "$.sparse_220")]
+def _range_sql(value: str, low: int, n: int) -> str:
+    """``value`` in NOBENCH's 0.1 % range ``[low, low + n/1000)``."""
+    high = low + max(n // 1000, 1)
+    return (f"SELECT {value} v FROM nb "
+            f"WHERE {value} >= {low} AND {value} < {high}")
 
-    # -- selection queries ---------------------------------------------------------
 
-    def q5(self, needle: Optional[str] = None) -> list[dict[str, Any]]:
-        """Point lookup on str1."""
-        if needle is None:
-            needle = _base32ish(self.n // 2)
-        return [self._materialize(h) for h in self.source.handles()
-                if json_value(h, "$.str1") == needle]
-
-    def q6(self, low: Optional[int] = None,
-           span: Optional[int] = None) -> list[Any]:
-        """Range on num (0.1 % selectivity) — VC-eligible."""
-        if low is None:
-            low = self.n // 3
-        if span is None:
-            span = max(self.n // 1000, 1)
-        if self.source.has_vector("$.num"):
-            column = self.source.vector("$.num")
-            mask = kernels.between(column, low, low + span)
-            return [column.value_at(i)
-                    for i in self.source.selection_to_indexes(mask)]
-        out = []
-        for h in self.source.handles():
-            value = json_value(h, "$.num")
-            if value is not None and low <= value < low + span:
-                out.append(value)
-        return out
-
-    def q7(self, low: Optional[int] = None,
-           span: Optional[int] = None) -> list[Any]:
-        """Range on the dynamically typed dyn1 — VC-eligible.
-
-        Only numeric instances participate (string-typed dyn1 values are
-        excluded by the comparison semantics).
-        """
-        if low is None:
-            low = self.n // 4
-        if span is None:
-            span = max(self.n // 1000, 1)
-        if self.source.has_vector("$.dyn1"):
-            column = self.source.vector("$.dyn1")
-            mask = kernels.between(column, low, low + span)
-            return [column.value_at(i)
-                    for i in self.source.selection_to_indexes(mask)]
-        out = []
-        for h in self.source.handles():
-            value = json_value(h, "$.dyn1")
-            if isinstance(value, (int, float)) and low <= value < low + span:
-                out.append(value)
-        return out
-
-    def q8(self, needle: Optional[str] = None) -> list[dict[str, Any]]:
-        """Array membership in nested_arr."""
-        if needle is None:
-            needle = _base32ish(self.n // 5)
-        path = f'$.nested_arr[*]?(@ == "{needle}")'
-        return [self._materialize(h) for h in self.source.handles()
-                if json_exists(h, path)]
-
-    def q9(self, field: str = "sparse_550",
-           needle: Optional[str] = None) -> list[dict[str, Any]]:
-        """Predicate on a sparse field."""
-        out = []
-        for h in self.source.handles():
-            value = json_value(h, f"$.{field}")
-            if value is None:
-                continue
-            if needle is None or value == needle:
-                out.append(self._materialize(h))
-        return out
-
-    # -- aggregation / join --------------------------------------------------------------
-
-    def q10(self, buckets: int = 10) -> dict[Any, float]:
-        """GROUP BY thousandth-bucket SUM(num) — VC-eligible.
-
-        Bucketing thousandth into ``buckets`` groups keeps the result
-        small at reduced document counts.
-        """
-        if self.source.has_vector("$.num"):
-            nums = self.source.vector("$.num")
-            # bucket keys derive from num's own thousandth residue so the
-            # whole aggregation stays vectorized
-            keys_raw = np.mod(nums.values.astype(np.int64), 1000) % buckets
-            sums: dict[Any, float] = {}
-            for bucket in range(buckets):
-                mask = (keys_raw == bucket) & nums.valid
-                if mask.any():
-                    sums[bucket] = float(nums.values[mask].sum())
-            return sums
-        sums = {}
-        for h in self.source.handles():
-            num = json_value(h, "$.num")
-            thousandth = json_value(h, "$.thousandth")
-            if num is None or thousandth is None:
-                continue
-            bucket = int(thousandth) % buckets
-            sums[bucket] = sums.get(bucket, 0.0) + num
-        return sums
-
-    def q11(self, limit: Optional[int] = None) -> list[tuple[int, int]]:
-        """Self equi-join: nested_obj.str of one doc = str1 of another —
-        VC-eligible on the probe side ($.str1)."""
-        if limit is None:
-            limit = self.n
-        if self.source.has_vector("$.str1"):
-            column = self.source.vector("$.str1")
-            build: dict[str, list[int]] = {}
-            for index in range(min(len(column), limit)):
-                value = column.value_at(index)
-                if value is not None:
-                    build.setdefault(value, []).append(index)
-            matches: list[tuple[int, int]] = []
-            for index, h in enumerate(self.source.handles()):
-                if index >= limit:
-                    break
-                probe = json_value(h, "$.nested_obj.str")
-                for other in build.get(probe, ()):
-                    matches.append((index, other))
-            return matches
-        build = {}
-        handles = []
-        for index, h in enumerate(self.source.handles()):
-            if index >= limit:
-                break
-            handles.append(h)
-            value = json_value(h, "$.str1")
-            if value is not None:
-                build.setdefault(value, []).append(index)
-        matches = []
-        for index, h in enumerate(handles):
-            probe = json_value(h, "$.nested_obj.str")
-            for other in build.get(probe, ()):
-                matches.append((index, other))
-        return matches
-
-    def run_all(self) -> dict[str, Any]:
-        """Run Q1..Q11 once each; returns result sizes keyed by query id."""
-        results = {}
-        for name in ("q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8", "q9",
-                     "q10", "q11"):
-            value = getattr(self, name)()
-            results[name] = len(value)
-        return results
-
-    def _materialize(self, handle: Any) -> dict[str, Any]:
-        if isinstance(handle, str):
-            from repro.jsontext import loads
-            return loads(handle)
-        return handle.materialize()
+def _group_sum_sql(value: str) -> str:
+    key = "JSON_VALUE(jdoc, '$.thousandth')"
+    return (f"SELECT {key} thousandth, SUM({value}) total FROM nb "
+            f"GROUP BY {key}")

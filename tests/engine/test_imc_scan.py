@@ -9,8 +9,11 @@ whose column set it cannot prove.
 
 import pytest
 
-from repro.engine import Column, NUMBER, Query, Table, VARCHAR2, expr
+from repro.core import oson
+from repro.engine import Column, Database, NUMBER, Query, Table, VARCHAR2, expr
 from repro.engine.plan import IMCScanNode, _collect_columns
+from repro.engine.sql import compile_sql, execute_sql
+from repro.engine.types import BLOB
 from repro.imc import IMCStore
 from repro.obs import metrics as obs_metrics
 
@@ -88,6 +91,22 @@ class TestRuleRefuses:
         # carry the row count
         q = Query(bound_table()).group_by(count=expr.CountAgg())
         assert not isinstance(head(q), IMCScanNode)
+
+    def test_binary_column_stays_on_row_path(self):
+        # an OSON BLOB has no column-vector kind: a statement reading it
+        # must not be narrowed onto the IMC, even with a populated VC
+        db = Database()
+        t = db.create_table("nb", [Column("id", NUMBER), Column("jdoc", BLOB)])
+        t.add_column(Column("num", NUMBER, expression=expr.JsonValueExpr(
+            "jdoc", "$.num", returning="number")))
+        t.insert_many([{"id": i, "jdoc": oson.encode({"num": i, "s": str(i)})}
+                       for i in range(3)])
+        IMCStore().populate(t, ["num"])
+        sql = "SELECT JSON_VALUE(jdoc, '$.s') s FROM nb"
+        assert not isinstance(head(compile_sql(db, sql)), IMCScanNode)
+        assert execute_sql(db, sql) == [{"s": "0"}, {"s": "1"}, {"s": "2"}]
+        assert isinstance(head(compile_sql(db, "SELECT num FROM nb")),
+                          IMCScanNode)
 
     def test_nodes_after_terminator_unaffected(self):
         q = (Query(bound_table()).select("id")

@@ -1,97 +1,113 @@
-"""Tests for the three JSON execution modes (TEXT / OSON-IMC / VC-IMC)."""
+"""The three JSON execution modes of Figures 5/6 as table setups.
+
+TEXT is a CLOB table of JSON text, OSON-IMC a BLOB table of OSON images,
+and VC-IMC that table plus the JSON_VALUE virtual columns populated into
+an :class:`~repro.imc.IMCStore` (see :mod:`repro.workloads.nobench`).
+"""
 
 import pytest
 
-from repro.core.oson import OsonDocument
-from repro.errors import EngineError
-from repro.imc.json_modes import (
-    JsonColumnIMC,
-    OSON_IMC_MODE,
-    TEXT_MODE,
-    VC_IMC_MODE,
-)
-from repro.jsontext import dumps
+from repro.core import oson
+from repro.engine import Database
+from repro.engine.sql import compile_sql, execute_sql
+from repro.errors import CatalogError
+from repro.imc import IMCStore
+from repro.jsontext import loads
 from repro.sqljson.operators import json_value
+from repro.workloads.nobench import (NobenchGenerator, add_vc_columns,
+                                     load_nobench)
 
-DOCS = [{"str1": f"s{i}", "num": i, "nested": {"v": i * 2}}
-        for i in range(10)]
-TEXTS = [dumps(d) for d in DOCS]
+DOCS = list(NobenchGenerator().documents(10))
+VC_NAMES = ["str1", "num", "dyn1"]
 
 
-def collection(mode, vc_paths=()):
-    imc = JsonColumnIMC(mode, vc_paths)
-    imc.load_texts(TEXTS)
-    imc.populate()
-    return imc
+def collection(binary=False):
+    db = Database()
+    return db, load_nobench(db, DOCS, binary=binary)
+
+
+def vc_collection(columns=VC_NAMES):
+    """The OSON table with its virtual columns, ``columns`` populated."""
+    db, table = collection(binary=True)
+    add_vc_columns(table)
+    imc = IMCStore()
+    imc.populate(table, columns)
+    return db, table, imc
+
+
+def values(db, path):
+    sql = f"SELECT JSON_VALUE(jdoc, '{path}') v FROM nb"
+    return [row["v"] for row in execute_sql(db, sql)]
 
 
 class TestModes:
     def test_text_mode_handles_are_text(self):
-        imc = collection(TEXT_MODE)
-        handles = list(imc.handles())
-        assert all(isinstance(h, str) for h in handles)
-        assert [json_value(h, "$.num") for h in handles] == list(range(10))
+        db, table = collection()
+        assert [loads(row["jdoc"]) for row in table.raw_rows()] == DOCS
+        assert values(db, "$.num") == list(range(10))
 
     def test_oson_mode_handles_are_oson(self):
-        imc = collection(OSON_IMC_MODE)
-        handles = list(imc.handles())
-        assert all(isinstance(h, OsonDocument) for h in handles)
-        assert [json_value(h, "$.num") for h in handles] == list(range(10))
+        db, table = collection(binary=True)
+        assert [oson.decode(row["jdoc"]) for row in table.raw_rows()] == DOCS
+        assert values(db, "$.num") == list(range(10))
 
     def test_modes_agree_on_query_results(self):
-        text = collection(TEXT_MODE)
-        oson = collection(OSON_IMC_MODE)
-        for path in ("$.str1", "$.num", "$.nested.v", "$.missing"):
-            assert ([json_value(h, path) for h in text.handles()]
-                    == [json_value(h, path) for h in oson.handles()])
+        text, _ = collection()
+        binary, _ = collection(binary=True)
+        for path in ("$.str1", "$.num", "$.nested_obj.str", "$.missing"):
+            assert values(text, path) == values(binary, path)
 
     def test_vc_mode_vectors(self):
-        imc = collection(VC_IMC_MODE, vc_paths=("$.num", "$.str1"))
-        assert imc.has_vector("$.num")
-        assert imc.vector("$.num").to_list() == list(range(10))
-        assert imc.vector("$.str1").to_list() == [f"s{i}" for i in range(10)]
+        _, _, imc = vc_collection()
+        assert imc.column("nb", "num").to_list() == list(range(10))
+        assert imc.column("nb", "str1").to_list() == [d["str1"] for d in DOCS]
 
     def test_vc_vector_matches_operator_extraction(self):
-        imc = collection(VC_IMC_MODE, vc_paths=("$.nested.v",))
-        expected = [json_value(t, "$.nested.v") for t in TEXTS]
-        assert imc.vector("$.nested.v").to_list() == expected
+        _, _, imc = vc_collection()
+        expected = [json_value(d, "$.dyn1", returning="number") for d in DOCS]
+        assert imc.column("nb", "dyn1").to_list() == expected
+        assert expected[1] is None  # RETURNING NUMBER nulls string dyn1
 
     def test_vc_unpopulated_path_rejected(self):
-        imc = collection(VC_IMC_MODE, vc_paths=("$.num",))
-        with pytest.raises(EngineError):
-            imc.vector("$.str1")
+        _, _, imc = vc_collection(columns=["num"])
+        with pytest.raises(CatalogError):
+            imc.column("nb", "str1")
 
     def test_vc_paths_only_in_vc_mode(self):
-        with pytest.raises(EngineError):
-            JsonColumnIMC(TEXT_MODE, vc_paths=("$.x",))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(EngineError):
-            JsonColumnIMC("warp-speed")
+        _, table = collection(binary=True)
+        assert table.column_names == ["id", "jdoc"]
+        assert add_vc_columns(table) == VC_NAMES
+        assert all(table.column(name).is_virtual for name in VC_NAMES)
 
     def test_unpopulated_access_rejected(self):
-        imc = JsonColumnIMC(OSON_IMC_MODE)
-        imc.load_texts(TEXTS)
-        with pytest.raises(EngineError):
-            list(imc.handles())
+        _, table = collection(binary=True)
+        add_vc_columns(table)
+        with pytest.raises(CatalogError):
+            IMCStore().column("nb", "num")
 
     def test_document_at(self):
-        imc = collection(OSON_IMC_MODE)
-        assert json_value(imc.document_at(3), "$.num") == 3
+        for binary, decode in ((False, loads), (True, oson.decode)):
+            db, _ = collection(binary)
+            [row] = execute_sql(db, "SELECT jdoc FROM nb WHERE id = 3")
+            assert decode(row["jdoc"]) == DOCS[3]
 
     def test_selection_to_indexes(self):
-        imc = collection(VC_IMC_MODE, vc_paths=("$.num",))
-        from repro.imc import kernels
-        mask = kernels.compare(imc.vector("$.num"), ">=", 8)
-        assert imc.selection_to_indexes(mask) == [8, 9]
+        # a predicate on a populated virtual column selects from vectors
+        db, _, _ = vc_collection()
+        sql = "SELECT id FROM nb WHERE num >= 8"
+        assert compile_sql(db, sql).explain().startswith("IMC SCAN nb")
+        assert execute_sql(db, sql) == [{"id": 8}, {"id": 9}]
 
     def test_memory_accounting(self):
-        text = collection(TEXT_MODE)
-        oson = collection(OSON_IMC_MODE)
-        vc = collection(VC_IMC_MODE, vc_paths=("$.num",))
-        assert text.memory_bytes() > 0
-        assert oson.memory_bytes() > 0
-        assert vc.memory_bytes() > oson.memory_bytes()  # vectors add memory
+        _, text = collection()
+        _, binary = collection(binary=True)
+        _, vc, imc = vc_collection()
+        assert text.storage_bytes() > 0
+        assert binary.storage_bytes() > 0
+        # virtual columns take no heap bytes; their vectors live in the IMC
+        assert vc.storage_bytes() == binary.storage_bytes()
+        assert imc.memory_bytes() > 0
 
     def test_len(self):
-        assert len(collection(TEXT_MODE)) == 10
+        for binary in (False, True):
+            assert len(collection(binary)[1]) == 10

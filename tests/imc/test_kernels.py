@@ -47,10 +47,6 @@ class TestCompare:
         with pytest.raises(QueryError):
             kernels.compare(NUMS, "LIKE", 1)
 
-    def test_between(self):
-        assert list(kernels.between(NUMS, 20, 40)) == [False, True, False,
-                                                       False, True]
-
     def test_isin(self):
         assert list(kernels.isin(NUMS, [10, 40])) == [True, False, False,
                                                       True, False]
@@ -72,26 +68,17 @@ class TestAggregates:
         selection = kernels.compare(NUMS, ">", 20)
         assert kernels.agg_count(NUMS, selection) == 3
 
-    def test_sum_min_max_avg(self):
+    def test_sum(self):
         assert kernels.agg_sum(NUMS) == 100
-        assert kernels.agg_min(NUMS) == 10
-        assert kernels.agg_max(NUMS) == 40
-        assert kernels.agg_avg(NUMS) == 25
 
     def test_aggregates_over_empty_selection(self):
         empty = np.zeros(len(NUMS), dtype=np.bool_)
         assert kernels.agg_sum(NUMS, empty) is None
-        assert kernels.agg_min(NUMS, empty) is None
-        assert kernels.agg_avg(NUMS, empty) is None
         assert kernels.agg_count(NUMS, empty) == 0
 
     def test_sum_requires_numeric(self):
         with pytest.raises(QueryError):
             kernels.agg_sum(STRS)
-
-    def test_min_max_on_strings(self):
-        assert kernels.agg_min(STRS) == "apple"
-        assert kernels.agg_max(STRS) == "banana"
 
 
 class TestGroupBy:
