@@ -122,3 +122,52 @@ def report(title: str, lines) -> None:
 @pytest.fixture(scope="session")
 def bench_scale():
     return SCALE
+
+
+def dg_writes_per_insert(texts):
+    """Insert JSON ``texts`` one by one into a CLOB table under IS JSON
+    with a DataGuide-enabled JSON search index; returns the index and
+    the ``$DG`` row writes (``insert_count`` delta) of each insert."""
+    from repro.engine import CLOB, Column, Database, NUMBER
+    from repro.engine.constraints import IsJsonConstraint
+
+    db = Database()
+    table = db.create_table("t", [Column("id", NUMBER), Column("jdoc", CLOB)])
+    table.add_constraint(IsJsonConstraint("jdoc"))
+    index = db.create_json_search_index("t_idx", "t", "jdoc")
+    deltas = []
+    for i, text in enumerate(texts):
+        before = index.dg_table.insert_count
+        table.insert({"id": i, "jdoc": text})
+        deltas.append(index.dg_table.insert_count - before)
+    return index, deltas
+
+
+def string_length_growth(documents):
+    """Per document, the number of string paths whose running maximum
+    length it raises (array elements share their array's path; the
+    first document's strings set the starting maxima, so its count is
+    the number of string paths it has).  Computed from the documents
+    alone, independently of the DataGuide code."""
+    running = {}
+    growth = []
+    for document in documents:
+        longest = {}
+        _string_lengths(document, (), longest)
+        grown = [path for path, length in longest.items()
+                 if length > running.get(path, -1)]
+        for path in grown:
+            running[path] = longest[path]
+        growth.append(len(grown))
+    return growth
+
+
+def _string_lengths(value, path, longest):
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _string_lengths(item, path + (name,), longest)
+    elif isinstance(value, list):
+        for item in value:
+            _string_lengths(item, path, longest)
+    elif isinstance(value, str):
+        longest[path] = max(longest.get(path, 0), len(value))

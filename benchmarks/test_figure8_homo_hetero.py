@@ -1,16 +1,19 @@
 """Figure 8 — homogeneous vs heterogeneous insertion with DataGuide on.
 
-``homo`` inserts documents with identical structures (zero $DG writes
-after the first document); ``hetero`` gives every document a unique new
-field, forcing a $DG write per insert.  Paper shape: the heterogeneous
+``homo`` inserts documents with identical structures (after the first
+document, $DG writes only where a longer ``str1`` widens its row);
+``hetero`` gives every document a unique new field, forcing a $DG write
+per insert.  Paper shape: the heterogeneous
 collection costs about 2x the homogeneous one.
 
 Cost-model caveat (see EXPERIMENTS.md): in Oracle the per-new-path $DG
 persistence is a real SQL INSERT with index and redo maintenance, which
 dominates the cheap fast-path check — hence 2x.  In pure Python the text
 parse dominates both modes, compressing the end-to-end gap; we therefore
-measure (a) end-to-end insertion, (b) the DataGuide-maintenance-only
-cost, where the hetero penalty is directly visible, and (c) the $DG
+measure (a) end-to-end insertion through a DataGuide-enabled JSON search
+index, (b) the DataGuide-maintenance-only cost — ``DataGuideBuilder.add``
+plus one ``$DG`` upsert per key it returns, exactly the calls the index
+makes — where the hetero penalty is directly visible, and (c) the $DG
 write counts, which reproduce the mechanism exactly.
 """
 
@@ -18,10 +21,14 @@ import time
 
 import pytest
 
-from benchmarks.conftest import report, scaled
-from repro.core.dataguide.persistent import PersistentDataGuide, attach_dataguide
-from repro.engine import Column, Database, NUMBER, CLOB
-from repro.engine.constraints import IsJsonConstraint
+from benchmarks.conftest import (
+    dg_writes_per_insert,
+    report,
+    scaled,
+    string_length_growth,
+)
+from repro.core.dataguide import DataGuideBuilder
+from repro.index import DgTable
 from repro.jsontext import dumps
 from repro.workloads.nobench import NobenchGenerator
 
@@ -43,22 +50,13 @@ def texts(corpora):
             for label, docs in corpora.items()}
 
 
-def _insert_with_dataguide(text_list):
-    db = Database()
-    table = db.create_table("t", [Column("id", NUMBER),
-                                  Column("jdoc", CLOB)])
-    table.add_constraint(IsJsonConstraint("jdoc"))
-    pdg = attach_dataguide(table, "jdoc")
-    for i, text in enumerate(text_list):
-        table.insert({"id": i, "jdoc": text})
-    return pdg
-
-
 def _maintain_only(documents):
-    pdg = PersistentDataGuide()
+    builder = DataGuideBuilder()
+    dg_table = DgTable("t_idx")
     for doc in documents:
-        pdg.on_document(doc)
-    return pdg
+        for key in builder.add(doc):
+            dg_table.upsert(builder.entry(key))
+    return dg_table
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +64,7 @@ def timing_table(corpora, texts):
     times = {}
     for label in ("homo", "hetero"):
         start = time.perf_counter()
-        _insert_with_dataguide(texts[label])
+        dg_writes_per_insert(texts[label])
         times[("insert", label)] = time.perf_counter() - start
         start = time.perf_counter()
         _maintain_only(corpora[label])
@@ -93,7 +91,7 @@ def timing_table(corpora, texts):
 
 @pytest.mark.parametrize("label", ["homo", "hetero"])
 def test_figure8_insert(benchmark, texts, timing_table, label):
-    benchmark.pedantic(_insert_with_dataguide, args=(texts[label],),
+    benchmark.pedantic(dg_writes_per_insert, args=(texts[label],),
                        rounds=3, iterations=1)
 
 
@@ -103,11 +101,13 @@ def test_figure8_maintenance(benchmark, corpora, timing_table, label):
                        rounds=3, iterations=1)
 
 
-def test_figure8_write_counts(texts):
-    """Every hetero insert writes at least one new $DG row; homo inserts
-    write none after the first document — the paper's mechanism."""
-    homo_pdg = _insert_with_dataguide(texts["homo"])
-    hetero_pdg = _insert_with_dataguide(texts["hetero"])
-    assert hetero_pdg.dg_table.insert_count >= \
-        homo_pdg.dg_table.insert_count + (N - 1)
-    assert homo_pdg.dg_table.insert_count == len(homo_pdg.dg_table)
+def test_figure8_write_counts(corpora, texts):
+    """Every hetero insert writes at least one $DG row; after the first
+    document a homo insert writes rows exactly when it raises a string
+    path's maximum length (``str1`` grows with the document number),
+    one per such path — the paper's mechanism."""
+    homo_index, homo_deltas = dg_writes_per_insert(texts["homo"])
+    assert homo_deltas[0] == len(homo_index.dg_table)
+    assert homo_deltas[1:] == string_length_growth(corpora["homo"])[1:]
+    _hetero_index, hetero_deltas = dg_writes_per_insert(texts["hetero"])
+    assert all(delta >= 1 for delta in hetero_deltas[1:])

@@ -3,13 +3,13 @@
 * :mod:`~repro.core.dataguide.model` — path entries and the scalar type
   lattice used when merging instance skeletons;
 * :mod:`~repro.core.dataguide.builder` — per-instance skeleton extraction
-  and the collection-merge builder;
+  and the collection-merge builder, the only code that maintains a
+  DataGuide (the JSON search index keeps its persistent ``$DG`` table
+  with one, :mod:`repro.index.search_index`);
 * :mod:`~repro.core.dataguide.guide` — the DataGuide object with its flat
   and hierarchical JSON representations;
 * :mod:`~repro.core.dataguide.aggregate` — JSON_DATAGUIDEAGG, the
   transient DataGuide as a SQL aggregate (section 3.4);
-* :mod:`~repro.core.dataguide.persistent` — the persistent DataGuide
-  maintained with the JSON search index (section 3.2);
 * :mod:`~repro.core.dataguide.views` — ``CreateViewOnPath``: DMDV view
   generation via JSON_TABLE (section 3.3.2);
 * :mod:`~repro.core.dataguide.virtual_columns` — ``AddVC``: JSON_VALUE
@@ -20,7 +20,6 @@ from repro.core.dataguide.aggregate import JsonDataGuideAgg, json_dataguide_agg
 from repro.core.dataguide.builder import DataGuideBuilder, instance_entries
 from repro.core.dataguide.guide import DataGuide
 from repro.core.dataguide.model import PathEntry, generalize_scalar_type
-from repro.core.dataguide.persistent import PersistentDataGuide
 from repro.core.dataguide.views import create_view_on_path
 from repro.core.dataguide.virtual_columns import add_vc
 
@@ -28,7 +27,6 @@ __all__ = [
     "DataGuide",
     "DataGuideBuilder",
     "PathEntry",
-    "PersistentDataGuide",
     "JsonDataGuideAgg",
     "json_dataguide_agg",
     "instance_entries",

@@ -21,22 +21,8 @@ from typing import Any, Iterable, Optional
 
 from repro.core.dataguide.builder import DataGuideBuilder
 from repro.core.dataguide.guide import DataGuide
+from repro.engine.constraints import decode_json
 from repro.engine.expressions import Aggregate, AggregateState, Col, Expression
-
-
-def _parse_any(data: Any) -> Any:
-    """Accept a JSON document in any physical form."""
-    if isinstance(data, str):
-        from repro.jsontext import loads
-        return loads(data)
-    if isinstance(data, (bytes, bytearray)):
-        raw = bytes(data)
-        if raw[:4] == b"OSON":
-            from repro.core.oson import decode
-            return decode(raw)
-        from repro.bson import decode as bson_decode
-        return bson_decode(raw)
-    return data
 
 
 def json_dataguide_agg(documents: Iterable[Any],
@@ -55,7 +41,7 @@ def json_dataguide_agg(documents: Iterable[Any],
     for document in documents:
         if sample_percent is not None and rng.uniform(0, 100) >= sample_percent:
             continue
-        builder.add(_parse_any(document))
+        builder.add(decode_json(document))
     return builder.guide()
 
 
@@ -77,7 +63,11 @@ class JsonDataGuideAgg(Aggregate):
             value = self.operand.evaluate(row)
             if value is None:
                 return
-            self.builder.add(_parse_any(value))
+            self.builder.add(decode_json(value))
+
+        def merge(self, other: AggregateState) -> None:
+            # gather of per-shard partials: the builders' union
+            self.builder.merge_builder(other.builder)
 
         def final(self) -> DataGuide:
             return self.builder.guide()

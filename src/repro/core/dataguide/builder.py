@@ -9,6 +9,7 @@ kinds and generalizing conflicting leaf types.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Iterable, Optional
 
 from repro.core.dataguide import model
@@ -78,10 +79,13 @@ def _record(entries: dict[tuple[str, str], PathEntry], entry: PathEntry) -> None
 class DataGuideBuilder:
     """Merges instance skeletons into a collection DataGuide.
 
-    ``add`` returns the list of *newly discovered* entry keys, which is
-    what the persistent DataGuide writes to the ``$DG`` table (and the
-    empty-list fast path is the paper's "terminates without calling any
-    persistent DataGuide processing module").
+    The one DataGuide merge: JSON_DATAGUIDEAGG (transient), the durable
+    store, recovery and the JSON search index's ``$DG`` table
+    (persistent) all maintain their guide through it.  ``add`` returns
+    the keys whose entry is new or structurally changed — exactly the
+    ``$DG`` rows to (re)write — and an empty list is the paper's
+    no-change fast path that "terminates without calling any persistent
+    DataGuide processing module".
     """
 
     def __init__(self) -> None:
@@ -89,17 +93,18 @@ class DataGuideBuilder:
         self.documents_seen = 0
 
     def add(self, value: Any) -> list[tuple[str, str]]:
-        """Merge one document; returns keys of paths not seen before."""
+        """Merge one document; returns keys of entries that are new or
+        changed structurally (type, array flag or max length)."""
         self.documents_seen += 1
-        new_keys: list[tuple[str, str]] = []
+        changed: list[tuple[str, str]] = []
         for key, entry in instance_entries(value).items():
             existing = self._entries.get(key)
             if existing is None:
                 self._entries[key] = entry
-                new_keys.append(key)
-            else:
-                existing.merge_in_place(entry)
-        return new_keys
+                changed.append(key)
+            elif existing.merge_in_place(entry):
+                changed.append(key)
+        return changed
 
     def add_many(self, values: Iterable[Any]) -> int:
         count = 0
@@ -109,11 +114,12 @@ class DataGuideBuilder:
         return count
 
     def merge_builder(self, other: "DataGuideBuilder") -> None:
-        """Merge another builder's state (parallel aggregation combine)."""
+        """Merge another builder's state (parallel aggregation combine);
+        ``other`` is left unchanged."""
         for key, entry in other._entries.items():
             existing = self._entries.get(key)
             if existing is None:
-                self._entries[key] = entry
+                self._entries[key] = replace(entry)
             else:
                 existing.merge_in_place(entry)
         self.documents_seen += other.documents_seen

@@ -111,8 +111,8 @@ class PathEntry:
         )
 
     def merge_in_place(self, other: "PathEntry") -> bool:
-        """Destructive merge; returns True if anything changed (used by the
-        persistent DataGuide's fast no-change path)."""
+        """Destructive merge; returns True if the entry changed
+        structurally (what ``DataGuideBuilder.add`` reports)."""
         if self.key != other.key:
             raise ValueError(f"cannot merge {self.key} with {other.key}")
         changed = False

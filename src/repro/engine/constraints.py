@@ -3,17 +3,38 @@
 :class:`IsJsonConstraint` is where the paper fuses DataGuide maintenance
 into DML (section 3.2.1): validating a document already requires parsing
 it, so the parsed value is handed to any registered hooks — the JSON
-search index and the persistent DataGuide — at no extra parse cost.
-Figure 7 measures exactly the three tiers this module implements:
-no constraint / IS JSON / IS JSON + DataGuide hook.
+search index, whose DataGuide rides on the same parse — at no extra
+parse cost.  Figure 7 times the tiers this hook stacks up: no
+constraint / IS JSON / IS JSON + search index without and with its
+DataGuide.
+
+:func:`decode_json` is the one decoder of a JSON column value (text,
+OSON or BSON) that the constraint, the search index and
+JSON_DATAGUIDEAGG share.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import ConstraintViolation, JsonParseError, ReproError
+from repro.errors import ConstraintViolation, ReproError
 from repro.jsontext import loads
+
+
+def decode_json(raw: Any) -> Any:
+    """Decode a JSON column value in any physical form: text is parsed,
+    bytes are an OSON image (``OSON`` magic) or else BSON, and anything
+    else (an already-parsed value, ``None``) passes through."""
+    if isinstance(raw, str):
+        return loads(raw)
+    if isinstance(raw, (bytes, bytearray)):
+        data = bytes(raw)
+        if data[:4] == b"OSON":
+            from repro.core.oson import decode as oson_decode
+            return oson_decode(data)
+        from repro.bson import decode as bson_decode
+        return bson_decode(data)
+    return raw
 
 
 class Constraint:
@@ -82,24 +103,12 @@ class IsJsonConstraint(Constraint):
             hook(row, parsed)
 
     def _parse(self, raw: Any) -> Any:
-        if isinstance(raw, str):
-            try:
-                return loads(raw)
-            except JsonParseError as exc:
-                raise ConstraintViolation(
-                    f"{self.name}: malformed JSON: {exc}") from exc
-        if isinstance(raw, (bytes, bytearray)):
-            data = bytes(raw)
-            try:
-                if data[:4] == b"OSON":
-                    from repro.core.oson import decode as oson_decode
-                    return oson_decode(data)
-                from repro.bson import decode as bson_decode
-                return bson_decode(data)
-            except ReproError as exc:
-                raise ConstraintViolation(
-                    f"{self.name}: malformed binary JSON: {exc}") from exc
-        if isinstance(raw, (dict, list, int, float, bool)):
-            return raw
-        raise ConstraintViolation(
-            f"{self.name}: unsupported value type {type(raw).__name__}")
+        if not isinstance(raw, (str, bytes, bytearray, dict, list, int, float)):
+            raise ConstraintViolation(
+                f"{self.name}: unsupported value type {type(raw).__name__}")
+        try:
+            return decode_json(raw)
+        except ReproError as exc:
+            form = "JSON" if isinstance(raw, str) else "binary JSON"
+            raise ConstraintViolation(
+                f"{self.name}: malformed {form}: {exc}") from exc

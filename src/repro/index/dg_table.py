@@ -3,10 +3,11 @@
 Section 3.2.1 stores the DataGuide inside the JSON search index as a
 relational table with path, type and statistics columns (Tables 2/4/6).
 :class:`DgTable` wraps an engine :class:`~repro.engine.table.Table` with
-the upsert protocol the index maintenance uses: ``record_new`` appends
-rows for newly discovered paths, ``refresh`` rewrites a row whose merged
-entry changed (type generalization), and ``write_statistics`` fills the
-stats columns when index statistics are computed.
+the protocol the index maintenance uses: ``upsert`` appends the row of a
+newly discovered (path, kind) or rewrites the row of an entry whose
+merged state changed (type generalization, a longer string), and
+``write_statistics`` fills the stats columns when index statistics are
+computed.
 """
 
 from __future__ import annotations
@@ -43,22 +44,14 @@ class DgTable:
     def __len__(self) -> int:
         return len(self.table)
 
-    def record_new(self, entry: PathEntry) -> None:
-        """Append a row for a newly discovered (path, kind)."""
-        row = self.table.insert(self._row_for(entry))
-        self._locator[entry.key] = row
-        self.insert_count += 1
-
-    def refresh(self, entry: PathEntry) -> None:
-        """Rewrite the row for an entry whose merged state changed
-        (e.g. leaf type generalized from number to string)."""
+    def upsert(self, entry: PathEntry) -> None:
+        """Write the row of ``entry``: appended for a newly discovered
+        (path, kind), rewritten in place for a known one."""
         row = self._locator.get(entry.key)
         if row is None:
-            self.record_new(entry)
-            return
-        new_values = self._row_for(entry)
-        for key, value in new_values.items():
-            row[key] = value
+            self._locator[entry.key] = self.table.insert(self._row_for(entry))
+        else:
+            row.update(self._row_for(entry))
         self.insert_count += 1
 
     def write_statistics(self, entries: list[PathEntry]) -> int:

@@ -5,9 +5,14 @@ column:
 
 * an :class:`~repro.index.inverted.InvertedIndex` over field names, paths
   and tokenized leaf values accelerates JSON_EXISTS / JSON_TEXTCONTAINS;
-* a :class:`~repro.core.dataguide.persistent.PersistentDataGuide` (with
-  its ``$DG`` table) tracks every distinct path — "discovery and search
-  of JSON structures are completely in synch".
+* the persistent DataGuide: a
+  :class:`~repro.core.dataguide.builder.DataGuideBuilder` — the same
+  merge JSON_DATAGUIDEAGG runs — tracks every distinct path, and each
+  entry its ``add`` reports as new or structurally changed is upserted
+  into the ``$DG`` table once — "discovery and search of JSON structures
+  are completely in synch".  On a structurally homogeneous collection
+  ``add`` reports nothing, so no ``$DG`` row is written: the cheap
+  no-change path Figure 7 isolates.
 
 Maintenance is incremental and, when the table has an IS JSON check
 constraint, piggybacks on the constraint's parse via a hook — the paper's
@@ -19,27 +24,13 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
+from repro.core.dataguide.builder import DataGuideBuilder
 from repro.core.dataguide.guide import DataGuide
+from repro.engine.constraints import decode_json
 from repro.engine.table import Table
 from repro.errors import IndexError_
 from repro.index.dg_table import DgTable
 from repro.index.inverted import InvertedIndex
-
-
-def _parse_column_value(raw: Any) -> Optional[Any]:
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        from repro.jsontext import loads
-        return loads(raw)
-    if isinstance(raw, (bytes, bytearray)):
-        data = bytes(raw)
-        if data[:4] == b"OSON":
-            from repro.core.oson import decode
-            return decode(data)
-        from repro.bson import decode as bson_decode
-        return bson_decode(data)
-    return raw
 
 
 class JsonSearchIndex:
@@ -54,15 +45,8 @@ class JsonSearchIndex:
         self.table = table
         self.column = column
         self.inverted = InvertedIndex()
-        self.dataguide_enabled = dataguide
         self.dg_table = DgTable(name)
-        if dataguide:
-            # imported here to avoid a cycle: dataguide.persistent needs
-            # the $DG table from this package
-            from repro.core.dataguide.persistent import PersistentDataGuide
-            self.dataguide = PersistentDataGuide(self.dg_table, name)
-        else:
-            self.dataguide = None
+        self.builder = DataGuideBuilder() if dataguide else None
         self._rowids: dict[int, int] = {}   # id(row) -> rowid
         self._rows: dict[int, dict] = {}    # rowid -> row
         self._next_rowid = 0
@@ -77,7 +61,7 @@ class JsonSearchIndex:
         table.on_delete(self._delete_listener)
         # index any rows already present
         for row in table.raw_rows():
-            value = _parse_column_value(row.get(column))
+            value = decode_json(row.get(column))
             if value is not None:
                 self._index_row(row, value)
 
@@ -87,7 +71,7 @@ class JsonSearchIndex:
         self._index_row(row, parsed)
 
     def _insert_listener(self, row: dict) -> None:
-        value = _parse_column_value(row.get(self.column))
+        value = decode_json(row.get(self.column))
         if value is not None:
             self._index_row(row, value)
 
@@ -97,15 +81,16 @@ class JsonSearchIndex:
         self._rowids[id(row)] = rowid
         self._rows[rowid] = row
         self.inverted.add_document(rowid, parsed)
-        if self.dataguide is not None:
-            self.dataguide.on_document(parsed)
+        if self.builder is not None:
+            for key in self.builder.add(parsed):
+                self.dg_table.upsert(self.builder.entry(key))
 
     def _delete_listener(self, row: dict) -> None:
         rowid = self._rowids.pop(id(row), None)
         if rowid is None:
             return
         self._rows.pop(rowid, None)
-        value = _parse_column_value(row.get(self.column))
+        value = decode_json(row.get(self.column))
         if value is not None:
             self.inverted.remove_document(rowid, value)
         # NOTE: the persistent DataGuide is additive — paths are not
@@ -143,12 +128,13 @@ class JsonSearchIndex:
 
     def get_dataguide(self) -> DataGuide:
         """``getDataGuide()`` from the persistent indexing layer."""
-        if self.dataguide is None:
+        if self.builder is None:
             raise IndexError_(
                 f"index {self.name} was created without DataGuide support")
-        return self.dataguide.get_dataguide()
+        return self.builder.guide()
 
     def compute_statistics(self) -> int:
-        if self.dataguide is None:
+        """Fill the ``$DG`` statistics columns; returns the rows updated."""
+        if self.builder is None:
             return 0
-        return self.dataguide.compute_statistics()
+        return self.dg_table.write_statistics(self.builder.entries())

@@ -98,8 +98,11 @@ class TestCollectionMerge:
         """Adding DOC3 grows the guide deeper by exactly 4 new rows."""
         builder = DataGuideBuilder()
         builder.add(DOC1)
-        new_keys = builder.add(DOC3)
-        new_paths = sorted(path for path, _kind in new_keys)
+        before = {e.key for e in builder.entries()}
+        changed = builder.add(DOC3)
+        after = {e.key for e in builder.entries()}
+        assert after - before <= set(changed)
+        new_paths = sorted(path for path, _kind in after - before)
         assert new_paths == [
             "$.purchaseOrder.foreign_id",
             "$.purchaseOrder.items.parts",
@@ -117,8 +120,10 @@ class TestCollectionMerge:
         builder = DataGuideBuilder()
         builder.add(DOC1)
         builder.add(DOC3)
-        new_keys = builder.add(DOC5)
-        new_paths = sorted(path for path, _kind in new_keys)
+        before = {e.key for e in builder.entries()}
+        changed = builder.add(DOC5)
+        after = {e.key for e in builder.entries()}
+        new_paths = sorted(path for path, _kind in after - before)
         assert new_paths == [
             "$.purchaseOrder.discount_items",
             "$.purchaseOrder.discount_items.dis_itemName",
@@ -128,11 +133,24 @@ class TestCollectionMerge:
             "$.purchaseOrder.discount_items.dis_parts.dis_partName",
             "$.purchaseOrder.discount_items.dis_parts.dis_partQuantity",
         ]
+        # add also reports the one entry DOC5 widens: "monitor" is the
+        # longest item name so far
+        widened = ("$.purchaseOrder.items.name", SCALAR)
+        assert set(changed) == (after - before) | {widened}
+        assert builder.entry(widened).max_length == len("monitor")
 
     def test_no_change_fast_path(self):
         builder = DataGuideBuilder()
         builder.add(DOC1)
         assert builder.add(DOC1) == []  # identical structure: nothing new
+
+    def test_add_reports_structural_changes(self):
+        """``add`` returns new keys and keys whose type, array flag or
+        max length changed; statistics alone are not a change."""
+        builder = DataGuideBuilder()
+        builder.add({"v": 1, "s": "ab", "n": 5})
+        changed = builder.add({"v": "text", "s": "abc", "n": 9})
+        assert sorted(changed) == [("$.s", SCALAR), ("$.v", SCALAR)]
 
     def test_type_generalization_on_merge(self):
         builder = DataGuideBuilder()
@@ -155,10 +173,13 @@ class TestCollectionMerge:
         a.add(DOC1)
         b = DataGuideBuilder()
         b.add(DOC5)
+        b_before = [e.as_row() for e in b.entries()]
         a.merge_builder(b)
         assert a.documents_seen == 2
         assert ("$.purchaseOrder.discount_items", ARRAY) in \
             {e.key for e in a.entries()}
+        a.add(DOC5)  # later merges into a must not reach into b
+        assert [e.as_row() for e in b.entries()] == b_before
 
     def test_guide_snapshot(self):
         builder = DataGuideBuilder()

@@ -1,15 +1,43 @@
-"""Tests for the persistent DataGuide (incremental $DG maintenance)."""
+"""Tests for the persistent DataGuide: the ``$DG`` table a JSON search
+index maintains incrementally with its ``DataGuideBuilder``."""
 
-from repro.core.dataguide.persistent import PersistentDataGuide
+from repro.engine import CLOB, Column, Database, NUMBER
+from repro.engine.constraints import IsJsonConstraint
+from repro.jsontext import dumps
 
 DOC = {"po": {"id": 1, "items": [{"sku": "A", "qty": 1}]}}
 
 
+class Indexed:
+    """A CLOB table under IS JSON with a DataGuide-enabled search index
+    created over the ``preload`` documents."""
+
+    def __init__(self, preload=()):
+        self.db = Database()
+        self.table = self.db.create_table(
+            "t", [Column("id", NUMBER), Column("jdoc", CLOB)])
+        self.table.add_constraint(IsJsonConstraint("jdoc"))
+        for doc in preload:
+            self._insert(doc)
+        self.index = self.db.create_json_search_index("idx", "t", "jdoc")
+        self.dg_table = self.index.dg_table
+
+    def _insert(self, doc):
+        self.table.insert({"id": len(self.table), "jdoc": dumps(doc)})
+
+    def insert(self, doc) -> int:
+        """Insert one document; returns the ``$DG`` rows it wrote."""
+        before = self.dg_table.insert_count
+        self._insert(doc)
+        return self.dg_table.insert_count - before
+
+
 class TestIncrementalMaintenance:
     def test_first_document_writes_all_paths(self):
-        pdg = PersistentDataGuide()
-        writes = pdg.on_document(DOC)
-        assert writes == len(pdg) == 6  # $, po, id, items, sku, qty
+        idx = Indexed()
+        writes = idx.insert(DOC)
+        assert writes == len(idx.dg_table) == 6  # $, po, id, items, sku, qty
+        assert len(idx.index.get_dataguide()) == 6
 
     def test_homogeneous_fast_path_writes_nothing(self):
         """The paper's common case: no new structure => zero $DG writes.
@@ -17,69 +45,71 @@ class TestIncrementalMaintenance:
         Values vary but structure (paths, kinds, scalar types, string
         lengths) stays fixed, like Figure 7's identical-structure inserts.
         """
-        pdg = PersistentDataGuide()
-        pdg.on_document(
-            {"po": {"id": 0, "items": [{"sku": "SKU000", "qty": 0}]}})
-        before = pdg.dg_table.insert_count
+        idx = Indexed()
+        idx.insert({"po": {"id": 0, "items": [{"sku": "SKU000", "qty": 0}]}})
+        before = idx.dg_table.insert_count
         for i in range(1, 50):
             doc = {"po": {"id": i,
                           "items": [{"sku": f"SKU{i:03d}", "qty": i}]}}
-            assert pdg.on_document(doc) == 0
-        assert pdg.dg_table.insert_count == before
+            assert idx.insert(doc) == 0
+        assert idx.dg_table.insert_count == before
 
     def test_string_length_growth_is_structural(self):
         """A longer string widens MAX_LENGTH and rewrites the $DG row."""
-        pdg = PersistentDataGuide()
-        pdg.on_document({"v": "ab"})
-        assert pdg.on_document({"v": "abcdef"}) == 1
-        assert pdg.dg_table.lookup("$.v")[0]["MAX_LENGTH"] == 6
+        idx = Indexed()
+        idx.insert({"v": "ab"})
+        assert idx.insert({"v": "abcdef"}) == 1
+        assert idx.dg_table.lookup("$.v")[0]["MAX_LENGTH"] == 6
 
     def test_new_field_writes_one_row(self):
-        pdg = PersistentDataGuide()
-        pdg.on_document(DOC)
-        writes = pdg.on_document(
+        idx = Indexed()
+        idx.insert(DOC)
+        writes = idx.insert(
             {"po": {"id": 2, "items": [{"sku": "B", "qty": 1}],
                     "rush": True}})
         assert writes == 1
-        assert "$.po.rush" in pdg.get_dataguide().paths()
+        assert "$.po.rush" in idx.index.get_dataguide().paths()
 
     def test_type_generalization_refreshes_row(self):
-        pdg = PersistentDataGuide()
-        pdg.on_document({"v": 1})
-        writes = pdg.on_document({"v": "text"})
+        idx = Indexed()
+        idx.insert({"v": 1})
+        writes = idx.insert({"v": "text"})
         assert writes == 1  # the $.v row is rewritten, not duplicated
-        rows = pdg.dg_table.lookup("$.v")
+        rows = idx.dg_table.lookup("$.v")
         assert len(rows) == 1
         assert rows[0]["TYPE"] == "string"
 
     def test_heterogeneous_every_doc_writes(self):
         """Figure 8's hetero case: a unique field per document."""
-        pdg = PersistentDataGuide()
-        pdg.on_document(DOC)
+        idx = Indexed()
+        idx.insert(DOC)
         for i in range(10):
             doc = dict(DOC)
             doc[f"unique_{i}"] = i
-            assert pdg.on_document(doc) >= 1
+            assert idx.insert(doc) >= 1
 
     def test_rebuild_over_collection(self):
-        pdg = PersistentDataGuide()
-        count = pdg.rebuild([DOC, {"other": 1}, DOC])
-        assert count == 3
-        assert pdg.documents_seen == 3
-        assert "$.other" in pdg.get_dataguide().paths()
+        """An index created over existing rows builds its guide from
+        them, one $DG row per distinct (path, kind)."""
+        idx = Indexed(preload=[DOC, {"other": 1}, DOC])
+        guide = idx.index.get_dataguide()
+        assert guide.document_count == 3
+        assert "$.other" in guide.paths()
+        assert len(idx.dg_table) == len(guide)
 
     def test_statistics_pass(self):
-        pdg = PersistentDataGuide()
-        pdg.on_document({"v": 5})
-        pdg.on_document({"v": 9})
-        assert pdg.compute_statistics() > 0
-        row = pdg.dg_table.lookup("$.v")[0]
+        idx = Indexed()
+        idx.insert({"v": 5})
+        idx.insert({"v": 9})
+        assert idx.index.compute_statistics() > 0
+        row = idx.dg_table.lookup("$.v")[0]
         assert row["FREQUENCY"] == 2
         assert row["MIN_VALUE"] == "5"
         assert row["MAX_VALUE"] == "9"
 
     def test_forms_available(self):
-        pdg = PersistentDataGuide()
-        pdg.on_document(DOC)
-        assert isinstance(pdg.as_flat(), list)
-        assert pdg.as_hierarchical()["type"] == "object"
+        idx = Indexed()
+        idx.insert(DOC)
+        guide = idx.index.get_dataguide()
+        assert isinstance(guide.as_flat(), list)
+        assert guide.as_hierarchical()["type"] == "object"

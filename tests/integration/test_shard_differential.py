@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import oson
 from repro.engine import CLOB, Column, Database, NUMBER, Query, expr
+from repro.engine.sql import execute_sql
 from repro.engine.types import BLOB
 from repro.errors import QueryError
 from repro.jsontext import dumps
@@ -149,6 +150,36 @@ class TestFigure3Parity:
                     run_olap(reference, params, qid)), qid
         finally:
             reopened.close()
+
+
+class TestDataGuideAggParity:
+    """JSON_DATAGUIDEAGG over a sharded table gathers the per-shard
+    partial guides into exactly the unsharded guide."""
+
+    SQL = "SELECT JSON_DATAGUIDEAGG(jdoc) AS dg FROM po"
+
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_matches_unsharded(self, documents, shards, encoding):
+        sql_type, encode = ENCODINGS[encoding]
+        columns = [Column("did", NUMBER), Column("jdoc", sql_type)]
+        rows = [{"did": i, "jdoc": encode(doc)}
+                for i, doc in enumerate(documents)]
+        reference = Database()
+        reference.create_table("po", columns).insert_many(rows)
+        expected = execute_sql(reference, self.SQL)[0]["dg"]
+
+        db = Database()
+        table = db.create_table("po", columns, durable="/po",
+                                fs=MemoryFileSystem(), shards=shards,
+                                routing_field="did")
+        try:
+            table.insert_many(rows)
+            actual = execute_sql(db, self.SQL)[0]["dg"]
+        finally:
+            table.close()
+        assert actual.document_count == expected.document_count == N_DOCUMENTS
+        assert actual.as_flat() == expected.as_flat()
 
 
 row_lists = st.lists(
