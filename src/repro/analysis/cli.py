@@ -19,7 +19,6 @@ machine-readable report instead of one line per finding.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -29,6 +28,7 @@ from repro.analysis.diagnostics import Diagnostic, Severity, has_errors
 from repro.analysis.lint.engine import LintEngine
 from repro.analysis.oson_verifier import verify_oson
 from repro.core.oson.constants import MAGIC as OSON_MAGIC
+from repro.jsontext import dumps
 
 
 def _summary(diagnostics: Sequence[Diagnostic],
@@ -105,8 +105,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not args.json and not diagnostics:
             print(f"{path}: {fmt} image ok ({len(data)} bytes)")
     if args.json:
-        print(json.dumps({"checked": checked, "failed": failed,
-                          "diagnostics": report}, indent=2))
+        print(dumps({"checked": checked, "failed": failed,
+                     "diagnostics": report}, pretty=True))
     elif failed:
         print(f"{failed} of {checked} images failed verification")
     return 1 if failed else 0
@@ -120,9 +120,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.json:
         timings = {rule: round(ms, 3) for rule, ms
                    in sorted(engine.rule_timings_ms.items())}
-        print(json.dumps({"diagnostics": report,
-                          "summary": _summary(diagnostics, engine),
-                          "timings_ms": timings}, indent=2))
+        print(dumps({"diagnostics": report,
+                     "summary": _summary(diagnostics, engine),
+                     "timings_ms": timings}, pretty=True))
     elif not diagnostics:
         print("lint clean")
     return 1 if has_errors(diagnostics) else 0
@@ -136,9 +136,9 @@ def cmd_concurrency(args: argparse.Namespace) -> int:
     report: List[dict] = []
     _emit(report, ((d.path or "", d) for d in diagnostics), args.json)
     if args.json:
-        print(json.dumps({"diagnostics": report,
-                          "summary": _summary(diagnostics),
-                          "lock_graph": analyzer.graph()}, indent=2))
+        print(dumps({"diagnostics": report,
+                     "summary": _summary(diagnostics),
+                     "lock_graph": analyzer.graph()}, pretty=True))
     elif not diagnostics:
         print(f"concurrency clean "
               f"({len(analyzer.graph())} order edges, no cycles)")

@@ -18,7 +18,8 @@ from __future__ import annotations
 import os
 from typing import Any, Iterator, Optional
 
-from repro.errors import EngineError
+from repro.errors import EngineError, JsonParseError
+from repro.jsontext import loads
 
 
 class ExternalJsonTable:
@@ -62,8 +63,17 @@ class ExternalJsonTable:
         (TOCTOU), and the open itself can still lose that race, so both
         paths surface as :class:`EngineError` naming the file.
         """
-        from repro.jsontext import loads
-        from repro.errors import JsonParseError
+        for line_number, text, _document in self._lines():
+            yield {"LINE": line_number, self.json_column: text}
+
+    def documents(self) -> Iterator[Any]:
+        """Parsed documents only (for DataGuide aggregation)."""
+        for _line_number, _text, document in self._lines():
+            yield document
+
+    def _lines(self) -> Iterator[tuple[int, str, Any]]:
+        """``(line number, text, parsed document)`` per non-blank line:
+        each line is parsed once, which is also its IS JSON check."""
         self.skipped_count = 0
         if not os.path.exists(self.path):
             raise EngineError(f"external file not found: {self.path}")
@@ -79,20 +89,14 @@ class ExternalJsonTable:
                 if not text:
                     continue
                 try:
-                    loads(text)  # IS JSON validation, in situ
+                    document = loads(text)
                 except JsonParseError:
                     if self.skip_errors:
                         self.skipped_count += 1
                         continue
                     raise EngineError(
                         f"{self.path}:{line_number}: malformed JSON line")
-                yield {"LINE": line_number, self.json_column: text}
-
-    def documents(self) -> Iterator[Any]:
-        """Parsed documents only (for DataGuide aggregation)."""
-        from repro.jsontext import loads
-        for row in self.scan():
-            yield loads(row[self.json_column])
+                yield line_number, text, document
 
     def dataguide(self, sample_percent: Optional[float] = None,
                   seed: Optional[int] = None):

@@ -285,42 +285,41 @@ class DurableTable(Table):
         validated first, then all of them go to the store in a single
         group-commit batch (one WAL fsync, one acknowledgement) instead
         of paying a durability round-trip per row."""
+        rows = list(rows)
+        handle = self.insert_many_pending(rows)
+        if handle is not None:
+            self._store.pipeline.wait(handle)
+        return len(rows)
+
+    def insert_many_pending(self, rows: Sequence[dict[str, Any]]) -> Any:
+        """Stage a batch without waiting for durability: every row is
+        validated first (a failure anywhere leaves the table unchanged),
+        the documents go to the store as **one** logical commit, then the
+        rows are applied to the heap and the secondary listeners.
+        Returns the commit handle (``None`` for an empty batch) — the
+        batch is acknowledged only once
+        ``table.store.pipeline.wait(handle)`` returns, and a snapshot
+        holds all of its rows or none of them.
+
+        This is the serving layer's write path: the caller serializes
+        heap mutation (this method) under its write lock but performs
+        the durability wait *outside* it, so many sessions' commits can
+        share one fsync.  Until the handle resolves, the rows are
+        visible to live ``scan()`` but to no snapshot."""
         prepared = [self._prepare_insert(row) for row in rows]
         if not prepared:
-            return 0
-        doc_ids = self._store.insert_many(
+            return None
+        doc_ids, handle = self._store.insert_many_async(
             [_row_to_document(stored) for stored in prepared])
         persist = self._persist_insert
         for stored, doc_id in zip(prepared, doc_ids):
             self._rows.append(stored)
             self._row_doc_ids[id(stored)] = doc_id
             for listener in self._insert_listeners:
-                # the batch already persisted; fire only the other
+                # the batch is already staged; fire only the other
                 # listeners (index maintenance etc.)
                 if listener != persist:
                     listener(stored)
-        return len(prepared)
-
-    def insert_pending(self, row: dict[str, Any]) -> Any:
-        """Stage one insert without waiting for durability: the row is
-        validated, applied to the heap and the secondary listeners, and
-        its document submitted to the store's group-commit pipeline.
-        Returns a commit handle — the insert is acknowledged only once
-        ``table.store.pipeline.wait(handle)`` returns.
-
-        This is the serving layer's write path: the caller serializes
-        heap mutation (this method) under its write lock but performs
-        the durability wait *outside* it, so many sessions' commits can
-        share one fsync.  Until the handle resolves, the row is visible
-        to live ``scan()`` but to no snapshot."""
-        stored = self._prepare_insert(row)
-        doc_id, handle = self._store.insert_async(_row_to_document(stored))
-        self._rows.append(stored)
-        self._row_doc_ids[id(stored)] = doc_id
-        persist = self._persist_insert
-        for listener in self._insert_listeners:
-            if listener != persist:
-                listener(stored)
         return handle
 
     def _persist_delete(self, row: dict) -> None:

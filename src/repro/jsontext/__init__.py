@@ -1,15 +1,16 @@
 """From-scratch JSON text substrate.
 
-The paper's TEXT baseline pays a full tokenize/parse cost every time a
-document is queried.  To charge that cost honestly we implement our own
-streaming tokenizer (:mod:`repro.jsontext.lexer`), an event-driven parser
-plus DOM builder (:mod:`repro.jsontext.parser`) and a compact serializer
-(:mod:`repro.jsontext.serializer`).  The standard-library ``json`` module is
-deliberately not used on the hot paths.
+The paper's TEXT baseline pays a full parse every time a document is
+queried.  To charge that cost honestly we implement our own direct DOM
+parser (:func:`repro.jsontext.parser.loads`), an event tokenizer for the
+streaming path engine (:mod:`repro.jsontext.lexer`) and a compact
+serializer (:mod:`repro.jsontext.serializer`).  What TEXT is charged:
+every byte is scanned again on every access, and each token costs
+Python-level work.  The standard-library ``json`` module is not used.
 """
 
 from repro.jsontext.lexer import JsonEvent, JsonEventType, JsonLexer, tokenize
-from repro.jsontext.parser import loads, parse_events
+from repro.jsontext.parser import loads
 from repro.jsontext.serializer import dumps
 
 __all__ = [
@@ -18,6 +19,5 @@ __all__ = [
     "JsonLexer",
     "tokenize",
     "loads",
-    "parse_events",
     "dumps",
 ]

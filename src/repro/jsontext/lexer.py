@@ -1,20 +1,27 @@
-"""Streaming JSON tokenizer.
+"""Streaming JSON tokenizer and the shared scalar scanners.
 
-Produces a flat stream of :class:`JsonEvent` records from JSON text.  The
-event stream is the substrate both for DOM construction
-(:func:`repro.jsontext.parser.loads`) and for the streaming SQL/JSON path
+:class:`JsonLexer` produces a flat stream of :class:`JsonEvent` records
+from JSON text.  The event stream feeds the streaming SQL/JSON path
 engine (:mod:`repro.sqljson.path.streaming`), mirroring the paper's
-event-based text path engine (section 5.1).
+event-based text path engine (section 5.1).  DOM construction does not
+go through events: :func:`repro.jsontext.parser.loads` parses text
+straight to Python values.  Both call :func:`scan_string` and
+:func:`scan_number` here, so the string and number grammar and their
+error messages exist once.
 
-The tokenizer is hand written: the whole point of the TEXT baseline in the
-paper's experiments is that text must be re-tokenized on every access, so we
-implement (and pay for) that work ourselves instead of delegating to the C
-implementation inside the standard-library ``json`` module.
+What the TEXT baseline is charged: every byte of a document is scanned
+again on every access, and each token costs Python-level work (a
+regular-expression match or a branch, plus the value it builds).  The
+scanners are hand written instead of delegating to the C implementation
+inside the standard-library ``json`` module, so that cost is ours to pay
+and to measure; like CPython's own pure-Python JSON scanner they let
+``re`` consume runs of plain string characters and digits.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -35,6 +42,91 @@ _ESCAPES = {
     "r": "\r",
     "t": "\t",
 }
+
+#: a whole string without escapes, quotes included
+_PLAIN_STRING = re.compile(r'"([^"\\\x00-\x1f]*)"').match
+#: a run of characters that need no decoding inside a string
+_PLAIN_RUN = re.compile(r'[^"\\\x00-\x1f]*').match
+_HEX4 = re.compile(r"[0-9a-fA-F]{4}").fullmatch
+#: group 1 is the integer part; a match with ``lastindex == 1`` is an int
+_NUMBER = re.compile(r"(-?(?:0|[1-9][0-9]*))(\.[0-9]+)?([eE][-+]?[0-9]+)?").match
+
+
+def scan_string(text: str, pos: int) -> tuple[str, int]:
+    """Decode the JSON string whose opening quote is at ``text[pos]``.
+
+    Returns ``(value, end)`` with ``end`` just past the closing quote.
+    """
+    match = _PLAIN_STRING(text, pos)
+    if match is not None:
+        return match.group(1), match.end()
+    chunks: list[str] = []
+    n = len(text)
+    pos += 1
+    while True:
+        end = _PLAIN_RUN(text, pos).end()
+        if end >= n:
+            raise JsonParseError("unterminated string", end)
+        chunks.append(text[pos:end])
+        ch = text[end]
+        if ch == '"':
+            return "".join(chunks), end + 1
+        if ch != "\\":
+            raise JsonParseError("unescaped control character in string", end)
+        pos = end + 1
+        if pos >= n:
+            raise JsonParseError("unterminated string", pos)
+        esc = text[pos]
+        if esc == "u":
+            code = _hex4(text, pos)
+            pos += 5
+            if 0xD800 <= code <= 0xDBFF and text[pos:pos + 2] == "\\u":
+                # a UTF-16 surrogate pair decodes to one code point; a
+                # high surrogate without a low one is kept as it is
+                low = text[pos + 2:pos + 6]
+                if _HEX4(low) is not None and 0xDC00 <= int(low, 16) <= 0xDFFF:
+                    code = 0x10000 + ((code - 0xD800) << 10) + (int(low, 16) - 0xDC00)
+                    pos += 6
+            chunks.append(chr(code))
+        elif esc in _ESCAPES:
+            chunks.append(_ESCAPES[esc])
+            pos += 1
+        else:
+            raise JsonParseError(f"invalid escape character {esc!r}", pos)
+
+
+def _hex4(text: str, pos: int) -> int:
+    """The code unit of the ``\\uXXXX`` escape whose ``u`` is at ``pos``:
+    exactly four hex digits, no sign, space or underscore."""
+    digits = text[pos + 1:pos + 5]
+    if len(digits) != 4:
+        raise JsonParseError("truncated \\u escape", pos)
+    if _HEX4(digits) is None:
+        raise JsonParseError("invalid \\u escape", pos)
+    return int(digits, 16)
+
+
+def scan_number(text: str, pos: int) -> tuple[Union[int, float], int]:
+    """Decode the JSON number starting at ``text[pos]``.
+
+    Returns ``(value, end)``: an ``int`` without fraction or exponent,
+    else a ``float``.
+    """
+    match = _NUMBER(text, pos)
+    if match is None:
+        if text[pos:pos + 1] == "-":
+            pos += 1
+        raise JsonParseError("invalid number", pos)
+    end = match.end()
+    follow = text[end:end + 1]
+    if follow and follow in ".eE":
+        # the pattern stopped short of a fraction or exponent
+        if follow == ".":
+            raise JsonParseError("invalid number: expected digit after '.'", end + 1)
+        raise JsonParseError("invalid number: bad exponent", end + 1)
+    if match.lastindex == 1:
+        return int(match.group()), end
+    return float(match.group()), end
 
 
 class JsonEventType(enum.Enum):
@@ -105,7 +197,10 @@ class JsonLexer:
         self._skip_whitespace()
         if self._pos >= self._len:
             raise self._error("empty JSON input")
-        yield from self._scan_value()
+        try:
+            yield from self._scan_value()
+        except RecursionError:
+            raise self._error("nesting too deep") from None
         self._skip_whitespace()
         if self._pos != self._len:
             raise self._error("trailing characters after JSON value")
@@ -193,99 +288,12 @@ class JsonLexer:
             raise self._error("expected ',' or ']' in array")
 
     def _scan_string(self) -> str:
-        # caller guarantees current char is '"'
-        text, n = self._text, self._len
-        pos = self._pos + 1
-        chunks: list[str] = []
-        chunk_start = pos
-        while pos < n:
-            ch = text[pos]
-            if ch == '"':
-                chunks.append(text[chunk_start:pos])
-                self._pos = pos + 1
-                return "".join(chunks)
-            if ch == "\\":
-                chunks.append(text[chunk_start:pos])
-                pos += 1
-                if pos >= n:
-                    break
-                esc = text[pos]
-                if esc == "u":
-                    hex_digits = text[pos + 1:pos + 5]
-                    if len(hex_digits) != 4:
-                        self._pos = pos
-                        raise self._error("truncated \\u escape")
-                    try:
-                        code = int(hex_digits, 16)
-                    except ValueError:
-                        self._pos = pos
-                        raise self._error("invalid \\u escape") from None
-                    pos += 5
-                    # handle UTF-16 surrogate pairs
-                    if 0xD800 <= code <= 0xDBFF and text[pos:pos + 2] == "\\u":
-                        low = text[pos + 2:pos + 6]
-                        if len(low) == 4:
-                            try:
-                                low_code = int(low, 16)
-                            except ValueError:
-                                low_code = -1
-                            if 0xDC00 <= low_code <= 0xDFFF:
-                                code = 0x10000 + ((code - 0xD800) << 10) + (low_code - 0xDC00)
-                                pos += 6
-                    chunks.append(chr(code))
-                elif esc in _ESCAPES:
-                    chunks.append(_ESCAPES[esc])
-                    pos += 1
-                else:
-                    self._pos = pos
-                    raise self._error(f"invalid escape character {esc!r}")
-                chunk_start = pos
-                continue
-            if ord(ch) < 0x20:
-                self._pos = pos
-                raise self._error("unescaped control character in string")
-            pos += 1
-        self._pos = pos
-        raise self._error("unterminated string")
+        value, self._pos = scan_string(self._text, self._pos)
+        return value
 
     def _scan_number(self) -> Union[int, float]:
-        text, n = self._text, self._len
-        start = self._pos
-        pos = start
-        if text[pos] == "-":
-            pos += 1
-        if pos >= n or text[pos] not in _DIGITS:
-            self._pos = pos
-            raise self._error("invalid number")
-        if text[pos] == "0":
-            pos += 1
-        else:
-            while pos < n and text[pos] in _DIGITS:
-                pos += 1
-        is_float = False
-        if pos < n and text[pos] == ".":
-            is_float = True
-            pos += 1
-            if pos >= n or text[pos] not in _DIGITS:
-                self._pos = pos
-                raise self._error("invalid number: expected digit after '.'")
-            while pos < n and text[pos] in _DIGITS:
-                pos += 1
-        if pos < n and text[pos] in "eE":
-            is_float = True
-            pos += 1
-            if pos < n and text[pos] in "+-":
-                pos += 1
-            if pos >= n or text[pos] not in _DIGITS:
-                self._pos = pos
-                raise self._error("invalid number: bad exponent")
-            while pos < n and text[pos] in _DIGITS:
-                pos += 1
-        literal = text[start:pos]
-        self._pos = pos
-        if is_float:
-            return float(literal)
-        return int(literal)
+        value, self._pos = scan_number(self._text, self._pos)
+        return value
 
 
 def tokenize(text: str) -> Iterator[JsonEvent]:

@@ -550,19 +550,17 @@ class Server:
 
     def durable_insert(self, table: DurableTable,
                        rows: Sequence[dict]) -> int:
-        """Write-lane body: stage every row's heap/index mutation under
-        the write lock, then wait for durability with **no lock held**.
+        """Write-lane body: stage the rows' heap/index mutation as one
+        commit under the write lock, then wait for durability with **no
+        lock held**.
         Concurrent write workers therefore overlap their fsync waits,
         and the commit pipeline's leader folds them into one batch."""
         with _trace.span("serve.write", table=table.name,
                          rows=len(rows)):
-            handles = []
             with self._write_lock:
-                for row in rows:
-                    handles.append(table.insert_pending(row))
-            pipeline = table.store.pipeline
-            for handle in handles:
-                pipeline.wait(handle)
+                handle = table.insert_many_pending(rows)
+            if handle is not None:
+                table.store.pipeline.wait(handle)
         return len(rows)
 
     def close(self) -> None:

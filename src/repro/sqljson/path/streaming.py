@@ -19,7 +19,7 @@ from typing import Any, Iterator
 
 from repro.errors import PathEvaluationError
 from repro.jsontext.lexer import JsonEvent, JsonEventType, tokenize
-from repro.jsontext.parser import _build
+from repro.jsontext.parser import loads
 from repro.sqljson.adapters import DictAdapter
 from repro.sqljson.path import ast
 from repro.sqljson.path.evaluator import PathEvaluator
@@ -51,8 +51,7 @@ def stream_select(text: str, path: ast.JsonPath) -> list[Any]:
     """
     if is_streamable(path):
         return list(_stream_match(tokenize(text), path.steps, 0))
-    value = _parse_dom(text)
-    return PathEvaluator(path).values(DictAdapter(value))
+    return PathEvaluator(path).values(DictAdapter(loads(text)))
 
 
 def stream_exists(text: str, path: ast.JsonPath) -> bool:
@@ -61,15 +60,7 @@ def stream_exists(text: str, path: ast.JsonPath) -> bool:
         for _ in _stream_match(tokenize(text), path.steps, 0):
             return True
         return False
-    value = _parse_dom(text)
-    return PathEvaluator(path).exists(DictAdapter(value))
-
-
-def _parse_dom(text: str) -> Any:
-    events = tokenize(text)
-    first = next(events)
-    value, _ = _build(first, events)
-    return value
+    return PathEvaluator(path).exists(DictAdapter(loads(text)))
 
 
 # ----------------------------------------------------------- streaming core
@@ -167,5 +158,21 @@ def _skip(event: JsonEvent, events: Iterator[JsonEvent]) -> None:
 
 
 def _materialize(event: JsonEvent, events: Iterator[JsonEvent]) -> Any:
-    value, _ = _build(event, events)
-    return value
+    """Build the value that starts with ``event`` from the rest of the
+    event stream (a matched subtree).  The lexer has validated the
+    grammar, so every object's field name is followed by its value and
+    every container is closed."""
+    etype = event.type
+    if etype is JsonEventType.OBJECT_START:
+        obj: dict[str, Any] = {}
+        for ev in events:
+            if ev.type is JsonEventType.OBJECT_END:
+                return obj
+            obj[ev.value] = _materialize(next(events), events)
+    if etype is JsonEventType.ARRAY_START:
+        arr: list[Any] = []
+        for ev in events:
+            if ev.type is JsonEventType.ARRAY_END:
+                return arr
+            arr.append(_materialize(ev, events))
+    return event.value

@@ -20,11 +20,12 @@ machine-readable interface.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.errors import JsonParseError
+from repro.jsontext import loads
 from repro.obs.schema import (
     METRICS_SCHEMA,
     TRACE_SCHEMA,
@@ -42,7 +43,7 @@ _KNOWN_SCHEMAS = {
 
 def _load(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return loads(handle.read())
 
 
 def _iter_files(paths: Sequence[str]) -> List[Path]:
@@ -91,7 +92,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     for path in _iter_files(args.paths):
         try:
             payload = _load(str(path))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, JsonParseError) as exc:
             print(f"{path}: cannot read: {exc}", file=sys.stderr)
             failed += 1
             continue
@@ -134,7 +135,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     for path in _iter_files(args.paths):
         try:
             payload = _load(str(path))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, JsonParseError) as exc:
             print(f"{path}: cannot read: {exc}", file=sys.stderr)
             failed += 1
             continue
@@ -164,7 +165,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for path in _iter_files(args.paths):
         try:
             payload = _load(str(path))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, JsonParseError) as exc:
             print(f"{path}: cannot read: {exc}", file=sys.stderr)
             failed += 1
             continue

@@ -26,12 +26,12 @@ recovery report, ``fsck`` checks the marker plus every shard, and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
 from repro.analysis.diagnostics import has_errors
 from repro.errors import StorageError
+from repro.jsontext import dumps
 from repro.storage import (
     CollectionStore,
     ShardedStore,
@@ -83,7 +83,7 @@ def cmd_open(args: argparse.Namespace) -> int:
                 "quarantined": [q.render() for q in report.quarantined],
                 "diagnostics": [d.to_dict() for d in report.diagnostics],
             }
-        print(json.dumps(payload, indent=2))
+        print(dumps(payload, pretty=True))
     else:
         if report is None:
             print(f"{args.directory}: freshly created, nothing to recover")
@@ -110,7 +110,7 @@ def cmd_fsck(args: argparse.Namespace) -> int:
         payload = {"diagnostics": [d.to_dict() for d in diagnostics]}
         if segments:
             payload["imc_segments"] = segments
-        print(json.dumps(payload, indent=2))
+        print(dumps(payload, pretty=True))
     else:
         for diagnostic in diagnostics:
             print(diagnostic.render())

@@ -1,5 +1,7 @@
 """Tests for the IS JSON check constraint and its hook mechanism."""
 
+import sys
+
 import pytest
 
 from repro import bson
@@ -52,6 +54,21 @@ class TestValidation:
         t.add_constraint(IsJsonConstraint("jdoc"))
         with pytest.raises(ConstraintViolation):
             t.insert({"jdoc": b"garbage-bytes"})
+
+
+    @pytest.mark.parametrize("text", [
+        '{"a":1} x', '{"a":1} trailing', "[1]]", "1 2",
+        r'"\u 1a2"', r'"\u1_23"', r'"\u+fff"', r'"\u-001"',
+        "[" * (sys.getrecursionlimit() + 1) + "]" * (sys.getrecursionlimit() + 1),
+        "[" * 950 + "]" * 950,
+    ], ids=["trailing-word", "trailing-text", "extra-bracket", "two-values",
+            "u-space", "u-underscore", "u-plus", "u-minus", "too-deep",
+            "950-deep"])
+    def test_invalid_text_rejected(self, text):
+        t, _ = json_table()
+        with pytest.raises(ConstraintViolation, match="malformed JSON"):
+            t.insert({"id": 1, "jdoc": text})
+        assert len(t) == 0
 
 
 class TestHooks:

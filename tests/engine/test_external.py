@@ -6,7 +6,7 @@ from repro.core.dataguide import create_view_on_path
 from repro.engine import Database, Query, expr
 from repro.engine.external import ExternalJsonTable
 from repro.errors import EngineError
-from repro.jsontext import dumps
+from repro.jsontext import dumps, loads
 
 DOCS = [
     {"po": {"id": 1, "items": [{"sku": "A", "qty": 2}]}},
@@ -116,6 +116,33 @@ class TestErrorPaths:
         assert rows[0]["LINE"] == 1
         from repro.jsontext import loads
         assert loads(rows[0]["JDOC"]) == {"first": 1}
+
+
+    @pytest.mark.parametrize("line", [
+        '{"a":1} x', "[1]]", "1 2", r'{"a":"\u-001"}', "[" * 2000 + "]" * 2000,
+    ], ids=["trailing-word", "extra-bracket", "two-values", "u-minus",
+            "too-deep"])
+    def test_malformed_line_is_counted_or_raises(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"ok": 1}\n' + line + '\n{"ok": 2}\n',
+                        encoding="utf-8")
+        with pytest.raises(EngineError, match=":2:"):
+            list(ExternalJsonTable(str(path)).scan())
+        table = ExternalJsonTable(str(path), skip_errors=True)
+        assert list(table.documents()) == [{"ok": 1}, {"ok": 2}]
+        assert table.skipped_count == 1
+
+    def test_documents_parse_each_line_once(self, jsonl, monkeypatch):
+        from repro.engine import external
+        calls = []
+
+        def counting_loads(text):
+            calls.append(text)
+            return loads(text)
+
+        monkeypatch.setattr(external, "loads", counting_loads)
+        assert list(ExternalJsonTable(jsonl).documents()) == DOCS
+        assert len(calls) == len(DOCS)
 
 
 class TestInSituQuerying:

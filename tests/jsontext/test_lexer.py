@@ -1,5 +1,7 @@
 """Tests for the streaming JSON tokenizer."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +84,14 @@ class TestEscapes:
         with pytest.raises(JsonParseError):
             list(tokenize(r'"\u00"'))
 
+    @pytest.mark.parametrize("literal", [
+        r'"\u 1a2"', r'"\u1_23"', r'"\u+fff"', r'"\u-001"',
+        r'"\ud800\u 1a2"',
+    ])
+    def test_unicode_escape_needs_four_hex_digits(self, literal):
+        with pytest.raises(JsonParseError, match=r"invalid \\u escape"):
+            list(tokenize(literal))
+
 
 class TestStructure:
     def test_empty_object(self):
@@ -125,6 +135,11 @@ class TestErrors:
     def test_malformed_input_raises(self, bad):
         with pytest.raises(JsonParseError):
             list(tokenize(bad))
+
+    def test_too_deep_is_a_parse_error(self):
+        depth = sys.getrecursionlimit() + 1
+        with pytest.raises(JsonParseError, match="nesting too deep"):
+            list(tokenize("[" * depth + "]" * depth))
 
     def test_error_carries_position(self):
         try:

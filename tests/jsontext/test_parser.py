@@ -1,4 +1,6 @@
-"""Tests for the event parser / DOM builder."""
+"""Tests for the direct DOM parser."""
+
+import sys
 
 import pytest
 from hypothesis import given
@@ -44,6 +46,45 @@ class TestLoads:
     def test_nested_heterogeneous(self):
         doc = loads('{"a": [1, "x", null, true, {"b": 2.5}]}')
         assert doc == {"a": [1, "x", None, True, {"b": 2.5}]}
+
+
+#: text the grammar refuses but a parser that stops after the first
+#: value, or reads ``\u`` escapes with ``int(..., 16)``, accepts
+TRAILING = ['{"a":1} x', "[1]]", "1 2", '{"a":1}}', '"a" "b"']
+BAD_UNICODE_ESCAPES = [r'"\u 1a2"', r'"\u1_23"', r'"\u+fff"', r'"\u-001"',
+                       r'"\u12"', r'"\ud800\u 1a2"']
+#: nesting deeper than the interpreter's recursion limit
+DEEP = "[" * (sys.getrecursionlimit() + 1) + "]" * (sys.getrecursionlimit() + 1)
+
+
+class TestStrict:
+    @pytest.mark.parametrize("text", TRAILING)
+    def test_trailing_characters_rejected(self, text):
+        with pytest.raises(JsonParseError, match="trailing characters"):
+            loads(text)
+
+    def test_trailing_whitespace_accepted(self):
+        assert loads(' {"a": 1} \n\t') == {"a": 1}
+
+    @pytest.mark.parametrize("text", BAD_UNICODE_ESCAPES)
+    def test_unicode_escape_needs_four_hex_digits(self, text):
+        with pytest.raises(JsonParseError, match=r"\\u escape"):
+            loads(text)
+
+    def test_unicode_escapes_decode(self):
+        assert loads(r'"\u00e9\u00C9\ud83d\ude00"') == "\u00e9\u00c9\U0001F600"
+
+    def test_too_deep_is_a_parse_error(self):
+        with pytest.raises(JsonParseError, match="nesting too deep"):
+            loads(DEEP)
+
+    @pytest.mark.parametrize("text,position", [
+        ("[1, x]", 4), ('{"a" 1}', 5), ("", 0), ("[1,", 3), ('{"a":1} x', 8),
+    ])
+    def test_error_position(self, text, position):
+        with pytest.raises(JsonParseError) as exc_info:
+            loads(text)
+        assert exc_info.value.position == position
 
 
 class TestRoundTrip:

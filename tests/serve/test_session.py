@@ -109,6 +109,52 @@ class TestSnapshotIsolation:
         assert seen == [1, 2, 10, 11, 12, 13]
 
 
+class TestAtomicBatches:
+    """One ``insert_many`` is one logical commit: with group commit
+    capped below the batch size, no published snapshot holds part of
+    it, and the store version moves by exactly one."""
+
+    BATCH = [{"id": 10 + i, "note": "b"} for i in range(5)]
+
+    def test_no_published_snapshot_holds_part_of_a_batch(self, served):
+        server, _, table = served
+        pipeline = table.store.pipeline
+        pipeline.set_batch_limit(3)
+        published = []
+        publish = pipeline._on_durable
+
+        def recording(batch):
+            publish(batch)
+            published.append(len(table.store.snapshot().docs))
+
+        pipeline._on_durable = recording
+        with server.session() as session:
+            session.insert_many("po", self.BATCH)
+        assert published == [2 + len(self.BATCH)]
+
+    def test_insert_many_moves_the_store_version_by_one(self, served):
+        server, _, table = served
+        table.store.pipeline.set_batch_limit(3)
+        before = table.store.snapshot().version
+        with server.session() as session:
+            session.insert_many("po", self.BATCH)
+            assert ids(session.execute("SELECT id FROM po")) == [
+                1, 2, 10, 11, 12, 13, 14]
+        assert table.store.snapshot().version == before + 1
+
+    def test_staged_batch_publishes_whole(self):
+        table = Database().create_table(
+            "events", [Column.of("seq", "number"), Column.of("slot", "number")],
+            durable="db/events", fs=MemoryFileSystem())
+        table.store.pipeline.set_batch_limit(3)
+        handle = table.insert_many_pending(
+            [{"seq": 0, "slot": slot} for slot in range(5)])
+        assert len(list(table.snapshot_scan())) == 0
+        table.store.pipeline.wait(handle)
+        assert len(list(table.snapshot_scan())) == 5
+        table.close()
+
+
 class TestDeadlinesAndCancellation:
     def test_expired_deadline_raises_query_timeout(self, served):
         server, _, _ = served
