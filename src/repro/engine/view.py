@@ -10,8 +10,8 @@ Two flavours are used in the reproduction:
   this is where the per-format decode cost is paid — except that
   expansions of immutable OSON images are memoized in the bounded DMDV
   row cache (``sqljson.jsontable_rows``), the reproduction's stand-in
-  for the paper's in-memory materialized DMDVs; TEXT documents re-parse
-  on every execution, which is exactly the TEXT-mode cost model.
+  for the paper's in-memory materialized DMDVs; a TEXT document is
+  parsed once on every execution, which is the TEXT-mode cost model.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.engine.table import Table
 from repro.errors import PathEvaluationError
 from repro.sqljson.adapters import adapter_for
 from repro.sqljson.json_table import JsonTable
-from repro.sqljson.operators import json_exists
 from repro.sqljson.path.evaluator import evaluator_for
 from repro.sqljson.path.parser import compile_path
 
@@ -142,10 +141,10 @@ class JsonTableView(View):
 
         The pushdown paths compile once per scan.  A binary document
         whose expansion is memoized skips all of it (one row-cache
-        lookup on the column value); on a miss its adapter is built once
-        and shared by every predicate probe plus the JSON_TABLE
-        expansion.  Textual documents keep paying the per-operator
-        parse, which is exactly the TEXT-mode cost the paper charges.
+        lookup on the column value).  Otherwise the document's adapter
+        is built once and shared by every predicate probe plus the
+        JSON_TABLE expansion, so a textual document is parsed once per
+        scan: the TEXT mode re-parses per query, not per operator.
         """
         return self._expand_rows(self.table.scan(), exists_paths)
 
@@ -164,22 +163,16 @@ class JsonTableView(View):
             data = base_row.get(self.json_column)
             if data is None:
                 continue
-            if isinstance(data, str):
-                # TEXT storage: per-operator re-parse, by design
-                if exists_paths is not None:
-                    if not all(json_exists(data, p) for p in exists_paths):
-                        continue
-                json_rows = json_table.expand(adapter_for(data))
-            else:
-                # a memoized DMDV expansion is one lookup on the raw
-                # column value: no adapter, no pushdown probe, no decode
-                json_rows = json_table.probe(data)
-                if json_rows is None:
-                    adapter = adapter_for(data)
-                    if evaluators is not None and not all(
-                            _exists_quiet(e, adapter) for e in evaluators):
-                        continue
-                    json_rows = json_table.expand(adapter, data)
+            # a memoized DMDV expansion is one lookup on the raw column
+            # value: no adapter, no pushdown probe, no decode (never for
+            # text, which has no image to key it by)
+            json_rows = json_table.probe(data)
+            if json_rows is None:
+                adapter = adapter_for(data)
+                if evaluators is not None and not all(
+                        _exists_quiet(e, adapter) for e in evaluators):
+                    continue
+                json_rows = json_table.expand(adapter, data)
             for json_row in json_rows:
                 out = {name: base_row[name] for name in include_columns}
                 out.update(json_row)

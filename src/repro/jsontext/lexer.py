@@ -1,13 +1,13 @@
 """Streaming JSON tokenizer and the shared scalar scanners.
 
 :class:`JsonLexer` produces a flat stream of :class:`JsonEvent` records
-from JSON text.  The event stream feeds the streaming SQL/JSON path
-engine (:mod:`repro.sqljson.path.streaming`), mirroring the paper's
-event-based text path engine (section 5.1).  DOM construction does not
-go through events: :func:`repro.jsontext.parser.loads` parses text
-straight to Python values.  Both call :func:`scan_string` and
-:func:`scan_number` here, so the string and number grammar and their
-error messages exist once.
+from JSON text, in the manner of the paper's event-based text path
+engine (section 5.1).  No SQL/JSON operator consumes the events: in
+Python one :func:`repro.jsontext.parser.loads` is faster than pulling an
+event per token, so every operator parses text straight to Python values
+and the event stream serves only the benchmark's tokenizer metric and
+the tests.  Both call :func:`scan_string` and :func:`scan_number` here,
+so the string and number grammar and their error messages exist once.
 
 What the TEXT baseline is charged: every byte of a document is scanned
 again on every access, and each token costs Python-level work (a

@@ -1,7 +1,8 @@
 """SQL/JSON language layer (paper sections 3-5).
 
-* :mod:`repro.sqljson.path` — the SQL/JSON path language: lexer, parser,
-  DOM evaluator, and a streaming evaluator over JSON text events.
+* :mod:`repro.sqljson.path` — the SQL/JSON path language: lexer, parser
+  and the DOM evaluator every input form shares (JSON text is parsed
+  once per operator call, then navigated like any other adapter).
 * :mod:`repro.sqljson.adapters` — a uniform DOM interface over dict
   values, OSON documents and BSON documents, so one path engine serves
   all three encodings.

@@ -32,6 +32,7 @@ from repro.core.counters import BoundedCache
 from repro.core.oson import constants as oson_constants
 from repro.core.oson.cache import CompiledFieldName, FieldIdResolver, open_document
 from repro.core.oson.decoder import OsonDocument
+from repro.jsontext.parser import loads
 
 #: adapter-level node kinds
 OBJECT = "object"
@@ -255,6 +256,5 @@ def adapter_for(value: Any) -> Any:
             _OSON_ADAPTERS.put(value, adapter)
         return adapter
     if isinstance(value, str):
-        from repro.jsontext import loads
         return DictAdapter(loads(value))
     return DictAdapter(value)

@@ -2,10 +2,12 @@
 
 Each operator accepts the JSON input in any physical form — JSON text
 (``str``), OSON or BSON bytes, an :class:`~repro.core.oson.OsonDocument`,
-or already-parsed Python values — and dispatches to the matching adapter.
-For textual input the operators route through the streaming engine of
-:mod:`repro.sqljson.path.streaming`, so the text-parse cost the paper's
-TEXT mode pays is charged here too.
+or already-parsed Python values — and evaluates the path through one
+adapter from :func:`~repro.sqljson.adapters.adapter_for`.  JSON text is
+parsed once per call, which is the re-parse the paper's TEXT mode pays.
+Malformed text is an evaluation error like any other: NULL (or a raise
+under ``on_error="error"``) for JSON_VALUE / JSON_QUERY, false for
+JSON_EXISTS / JSON_TEXTCONTAINS.
 
 ``returning`` on JSON_VALUE accepts a SQL type spec (``"number"``,
 ``"varchar2(30)"``, ``"boolean"``) and coerces the selected scalar, as the
@@ -18,13 +20,15 @@ import re
 from decimal import Decimal, InvalidOperation
 from typing import Any, Optional
 
-from repro.errors import PathEvaluationError
+from repro.errors import JsonParseError, PathEvaluationError
 from repro.jsontext import dumps
 from repro.obs import metrics as _metrics
 from repro.sqljson.adapters import SCALAR, adapter_for
 from repro.sqljson.path.evaluator import _Computed, evaluator_for
 from repro.sqljson.path.parser import compile_path
-from repro.sqljson.path.streaming import stream_exists, stream_select
+
+#: what an operator treats as "the path could not be evaluated"
+_EVAL_ERRORS = (PathEvaluationError, JsonParseError)
 
 #: ``on_error`` behaviours
 NULL_ON_ERROR = "null"
@@ -50,13 +54,6 @@ def json_value(data: Any, path: str, returning: Optional[str] = None,
     _JSON_VALUE_CALLS.inc()
     compiled = compile_path(path)
     try:
-        if isinstance(data, str):
-            values = stream_select(data, compiled)
-            scalars = [v for v in values
-                       if not isinstance(v, (dict, list, tuple))]
-            if len(values) != 1 or len(scalars) != 1:
-                return _singleton_error(values, on_error)
-            return _coerce_return(scalars[0], returning)
         adapter = adapter_for(data)
         nodes = evaluator_for(compiled).select(adapter)
         if len(nodes) != 1:
@@ -67,7 +64,7 @@ def json_value(data: Any, path: str, returning: Optional[str] = None,
         if adapter.kind(node) != SCALAR:
             return _singleton_error(nodes, on_error)
         return _coerce_return(adapter.scalar(node), returning)
-    except PathEvaluationError:
+    except _EVAL_ERRORS:
         if on_error == ERROR_ON_ERROR:
             raise
         return None
@@ -94,11 +91,7 @@ def json_query(data: Any, path: str, wrapper: bool = False,
     _JSON_QUERY_CALLS.inc()
     compiled = compile_path(path)
     try:
-        if isinstance(data, str):
-            values = stream_select(data, compiled)
-        else:
-            adapter = adapter_for(data)
-            values = evaluator_for(compiled).values(adapter)
+        values = evaluator_for(compiled).values(adapter_for(data))
         if wrapper:
             result = values
         else:
@@ -114,7 +107,7 @@ def json_query(data: Any, path: str, wrapper: bool = False,
                         "JSON_QUERY without wrapper selected a scalar")
                 return None
         return dumps(result) if as_text else result
-    except PathEvaluationError:
+    except _EVAL_ERRORS:
         if on_error == ERROR_ON_ERROR:
             raise
         return None
@@ -125,10 +118,8 @@ def json_exists(data: Any, path: str) -> bool:
     _JSON_EXISTS_CALLS.inc()
     compiled = compile_path(path)
     try:
-        if isinstance(data, str):
-            return stream_exists(data, compiled)
         return evaluator_for(compiled).exists(adapter_for(data))
-    except PathEvaluationError:
+    except _EVAL_ERRORS:
         return False
 
 
@@ -148,11 +139,8 @@ def json_textcontains(data: Any, path: str, keywords: str) -> bool:
     if not wanted:
         return False
     try:
-        if isinstance(data, str):
-            values = stream_select(data, compiled)
-        else:
-            values = evaluator_for(compiled).values(adapter_for(data))
-    except PathEvaluationError:
+        values = evaluator_for(compiled).values(adapter_for(data))
+    except _EVAL_ERRORS:
         return False
     tokens: set[str] = set()
     stack = list(values)

@@ -1,10 +1,17 @@
 """Tests for JSON_EXISTS predicate pushdown onto JSON_TABLE views."""
 
+from operator import itemgetter
+
+import pytest
+
 from repro.core.oson import encode as oson_encode
-from repro.engine import Column, Database, NUMBER, Query, expr
+from repro.engine import CLOB, Column, Database, NUMBER, Query, expr
 from repro.engine.types import BLOB
 from repro.engine.view import JsonTableView, render_pushdown_path
+from repro.jsontext import dumps
+from repro.sqljson import adapters
 from repro.sqljson.json_table import ColumnDef, JsonTable, NestedPath
+from repro.storage.files import MemoryFileSystem
 
 DOCS = [
     {"po": {"ref": "A-1", "items": [{"part": "p1", "qty": 1},
@@ -14,20 +21,40 @@ DOCS = [
 ]
 
 
-def setup_view():
-    db = Database()
-    table = db.create_table("t", [Column("id", NUMBER),
-                                  Column("jdoc", BLOB)])
-    for i, doc in enumerate(DOCS):
-        table.insert({"id": i, "jdoc": oson_encode(doc)})
-    jt = JsonTable("$", [
+def _json_table():
+    return JsonTable("$", [
         ColumnDef("ref", "varchar2(8)", "$.po.ref"),
         NestedPath("$.po.items[*]", [
             ColumnDef("part", "varchar2(8)", "$.part"),
             ColumnDef("qty", "number", "$.qty"),
         ]),
     ])
-    view = JsonTableView("v", table, "jdoc", jt)
+
+
+def setup_view():
+    db = Database()
+    table = db.create_table("t", [Column("id", NUMBER),
+                                  Column("jdoc", BLOB)])
+    for i, doc in enumerate(DOCS):
+        table.insert({"id": i, "jdoc": oson_encode(doc)})
+    view = JsonTableView("v", table, "jdoc", _json_table())
+    db.register_view(view)
+    return db, view
+
+
+def setup_text_view(shards=None):
+    """The DOCS as JSON text in a CLOB column, optionally on hash
+    shards."""
+    db = Database()
+    layout = {} if shards is None else {
+        "durable": "/t", "fs": MemoryFileSystem(), "shards": shards,
+        "routing_field": "id"}
+    table = db.create_table("t", [Column("id", NUMBER),
+                                  Column("jdoc", CLOB)], **layout)
+    for i, doc in enumerate(DOCS):
+        table.insert({"id": i, "jdoc": dumps(doc)})
+    view = JsonTableView("v", table, "jdoc", _json_table(),
+                         include_columns=["id"])
     db.register_view(view)
     return db, view
 
@@ -111,3 +138,34 @@ class TestPushdownCorrectness:
         assert q._plan().nodes[0].exists_paths
         q2 = Query(view).select("ref")
         assert q2._plan().nodes[0].exists_paths is None
+
+
+class TestTextPushdownParsesOnce:
+    """A text row is parsed once per scan: the pushdown probes and the
+    JSON_TABLE expansion share one adapter."""
+
+    PATHS = ['$.po.items[*].qty?(@ > 1)', '$.po.ref?(@ != "Z")']
+
+    @staticmethod
+    def _residual(row):
+        return row["qty"] is not None and row["qty"] > 1
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_one_loads_per_base_row(self, shards, monkeypatch):
+        _db, view = setup_text_view(shards)
+        calls = []
+        real_loads = adapters.loads
+
+        def counting_loads(text):
+            calls.append(text)
+            return real_loads(text)
+
+        monkeypatch.setattr(adapters, "loads", counting_loads)
+        pushed = [r for r in view.scan_pushdown(self.PATHS)
+                  if self._residual(r)]
+        assert len(calls) == len(DOCS)
+        assert sorted(calls) == sorted(dumps(doc) for doc in DOCS)
+        plain = [r for r in view.scan() if self._residual(r)]
+        key = itemgetter("id", "part")
+        assert sorted(pushed, key=key) == sorted(plain, key=key)
+        assert sorted(r["part"] for r in pushed) == ["p2", "p3"]

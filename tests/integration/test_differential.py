@@ -17,7 +17,7 @@ from repro.core.oson import encode as oson_encode, OsonUpdater, decode
 from repro.jsontext import dumps
 from repro.sqljson import ColumnDef, JsonTable, NestedPath
 from repro.sqljson.operators import json_exists, json_query, json_value
-from tests.strategies import json_documents, json_values
+from tests.strategies import bson_safe, json_documents, json_values
 
 #: paths exercising member chains, indexes, wildcards, filters, methods
 PATH_PANEL = [
@@ -49,23 +49,11 @@ def _canonical(value):
     return dumps(value)
 
 
-def _bson_safe(doc):
-    """BSON cannot represent ints beyond int64 exactly; keep docs in
-    range so all four forms are value-identical."""
-    if isinstance(doc, dict):
-        return {k: _bson_safe(v) for k, v in doc.items()}
-    if isinstance(doc, list):
-        return [_bson_safe(v) for v in doc]
-    if isinstance(doc, int) and not isinstance(doc, bool):
-        return doc % (2**31)
-    return doc
-
-
 class TestOperatorParity:
     @settings(max_examples=60, deadline=None)
     @given(json_documents(max_leaves=12))
     def test_json_value_parity(self, doc):
-        doc = _bson_safe(doc)
+        doc = bson_safe(doc)
         forms = _forms(doc)
         for path in PATH_PANEL:
             results = {name: json_value(data, path)
@@ -76,7 +64,7 @@ class TestOperatorParity:
     @settings(max_examples=60, deadline=None)
     @given(json_documents(max_leaves=12))
     def test_json_exists_parity(self, doc):
-        doc = _bson_safe(doc)
+        doc = bson_safe(doc)
         forms = _forms(doc)
         for path in PATH_PANEL:
             results = {name: json_exists(data, path)
@@ -87,7 +75,7 @@ class TestOperatorParity:
     @settings(max_examples=40, deadline=None)
     @given(json_documents(max_leaves=12))
     def test_json_query_wrapper_parity(self, doc):
-        doc = _bson_safe(doc)
+        doc = bson_safe(doc)
         forms = _forms(doc)
         for path in PATH_PANEL:
             results = {name: json_query(data, path, wrapper=True)
@@ -115,7 +103,7 @@ class TestJsonTableParity:
     @settings(max_examples=60, deadline=None)
     @given(json_documents(max_leaves=12))
     def test_rows_parity(self, doc):
-        doc = _bson_safe(doc)
+        doc = bson_safe(doc)
         forms = _forms(doc)
         results = {name: self.TABLE.rows(data)
                    for name, data in forms.items()}

@@ -1,10 +1,11 @@
 """Tests for JSON_VALUE / JSON_QUERY / JSON_EXISTS / JSON_TEXTCONTAINS."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro import bson
 from repro.core.oson import encode as oson_encode, OsonDocument
-from repro.errors import PathEvaluationError
+from repro.errors import JsonParseError, PathEvaluationError
 from repro.jsontext import dumps
 from repro.sqljson import (
     json_exists,
@@ -12,6 +13,9 @@ from repro.sqljson import (
     json_textcontains,
     json_value,
 )
+from repro.sqljson.adapters import DictAdapter
+from repro.sqljson.path import PathEvaluator, parse_path
+from tests.strategies import bson_safe, json_documents
 
 DOC = {
     "purchaseOrder": {
@@ -37,8 +41,13 @@ FORMS = {
 
 
 @pytest.fixture(params=list(FORMS))
-def doc(request):
-    return FORMS[request.param](DOC)
+def form(request):
+    return FORMS[request.param]
+
+
+@pytest.fixture
+def doc(form):
+    return form(DOC)
 
 
 class TestJsonValue:
@@ -152,3 +161,72 @@ class TestJsonTextContains:
     def test_empty_keywords(self, doc):
         assert not json_textcontains(doc, "$.purchaseOrder", "")
         assert not json_textcontains(doc, "$.purchaseOrder", "  ,,  ")
+
+
+class TestMalformedText:
+    """Text that is not one JSON value is an evaluation error, however
+    early the path's match comes: trailing characters and truncation
+    alike."""
+
+    TRAILING = ['{"a":1} x', '{"b":2, "a":1} ]']
+    TRUNCATED = ['{"a":']
+
+    @pytest.mark.parametrize("text", TRAILING + TRUNCATED)
+    def test_json_value_is_null_or_raises(self, text):
+        assert json_value(text, "$.a") is None
+        with pytest.raises(JsonParseError):
+            json_value(text, "$.a", on_error="error")
+
+    @pytest.mark.parametrize("text", TRAILING + TRUNCATED)
+    def test_json_query_is_null(self, text):
+        assert json_query(text, "$", wrapper=True) is None
+
+    @pytest.mark.parametrize("text", TRAILING + TRUNCATED)
+    def test_json_exists_is_false(self, text):
+        assert json_exists(text, "$.a") is False
+
+    @pytest.mark.parametrize("text", ['{"a":"red"} x', '{"a":"red"'])
+    def test_json_textcontains_is_false(self, text):
+        assert json_textcontains(text, "$.a", "red") is False
+
+
+#: one document, every form, a path table of member chains, indexes,
+#: wildcards, lax unnesting, descendants, filters and misses
+PARITY_DOC = {
+    "a": {"b": [{"c": 1}, {"c": 2}, {"d": 3}]},
+    "x": [10, 20, 30],
+    "y": "scalar",
+}
+PARITY_PATHS = [
+    "$", "$.a", "$.a.b", "$.a.b[*]", "$.a.b[*].c", "$.a.b[0].c",
+    "$.a.b[1]", "$.a.b[1].c", "$.a.b[2]", "$.a.b[9]", "$.a.b.c", "$.x[0]",
+    "$.x[1]", "$.x[2]", "$.x[*]", "$.x[last]", "$.x[0 to 1]", "$.x[0, 2]",
+    "$.y", "$.missing", "$.nope.deep", "$..c", "$.a.b[*]?(@.c == 1)",
+    "$.a.b[*]?(@.c == 2).c", "$.a.b[*]?(@.d == 3)", "$.a.b.size()",
+]
+
+
+class TestPathParity:
+    """Every form answers a path with what the DOM evaluator finds over
+    the parsed value: text, OSON and BSON take one route through
+    ``adapter_for``."""
+
+    @pytest.mark.parametrize("path", PARITY_PATHS)
+    def test_query_matches_dom(self, form, path):
+        expected = PathEvaluator(parse_path(path)).values(
+            DictAdapter(PARITY_DOC))
+        data = form(PARITY_DOC)
+        assert json_query(data, path, wrapper=True) == expected
+        assert json_exists(data, path) is bool(expected)
+
+    # ``form`` is a pure encoder, so sharing it across examples is sound
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(json_documents(max_leaves=12))
+    def test_query_matches_dom_property(self, form, value):
+        value = bson_safe(value)
+        data = form(value)
+        for path in ("$", "$.a", "$.a.b", "$.a[0]", "$.a[*]", "$.a.b[*]"):
+            expected = PathEvaluator(parse_path(path)).values(
+                DictAdapter(value))
+            assert json_query(data, path, wrapper=True) == expected, path

@@ -37,3 +37,15 @@ def json_values(max_leaves: int = 25):
 def json_documents(max_leaves: int = 25):
     """JSON values that are objects at the top level (documents)."""
     return st.dictionaries(json_keys, json_values(max_leaves), max_size=8)
+
+
+def bson_safe(value):
+    """BSON cannot represent ints beyond int64 exactly; fold them into
+    range so every encoding of ``value`` is value-identical."""
+    if isinstance(value, dict):
+        return {k: bson_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [bson_safe(v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value % (2**31)
+    return value
