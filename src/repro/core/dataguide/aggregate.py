@@ -56,11 +56,11 @@ class JsonDataGuideAgg(Aggregate):
 
     class _State(AggregateState):
         def __init__(self, operand: Expression) -> None:
-            self.operand = operand
+            self._fn = operand.compiled()
             self.builder = DataGuideBuilder()
 
         def step(self, row: dict) -> None:
-            value = self.operand.evaluate(row)
+            value = self._fn(row)
             if value is None:
                 return
             self.builder.add(decode_json(value))

@@ -1,26 +1,31 @@
-"""Volcano-style physical operators, row-at-a-time and morsel-batched.
+"""Volcano-style physical operators over dict rows.
 
-Each row-mode operator is a generator over dict rows, so pipelines
-stream row by row wherever the semantics allow (filter, project,
-hash-join probe) and materialize only where required (sort, group-by
-build, window).  The hash join here is the same physical plan Oracle
-picks for the REL storage variant of Figure 3's master/detail queries.
+Each operator is a generator, so pipelines stream row by row wherever
+the semantics allow (filter, project, hash-join probe) and materialize
+only where required (sort, group-by build, window).  Every operator
+takes its expressions' compiled closures (:meth:`~repro.engine
+.expressions.Expression.compiled`) once, outside its row loop.  The
+hash join is the same physical plan Oracle picks for the REL storage
+variant of Figure 3's master/detail queries.
 
-The ``*_morsel`` variants process rows in batches of
-:data:`MORSEL_SIZE`.  Per batch they first try to dispatch to the
-numpy kernels of :mod:`repro.imc.kernels` (building transient
-:class:`~repro.imc.columns.ColumnVector` columns), and fall back to the
-compiled-closure row loop whenever exact parity cannot be guaranteed —
+The ``*_morsel`` operators process rows in batches of
+:data:`MORSEL_SIZE`.  Per batch, filter and group-by first try to
+dispatch to the numpy kernels of :mod:`repro.imc.kernels` (building
+transient :class:`~repro.imc.columns.ColumnVector` columns), and fall
+back to the closure loop whenever exact parity cannot be guaranteed —
 mixed-type columns, booleans (``True == 1`` would alias in a float64
 vector), integers beyond float64's exact range, NULL group keys, or a
 missing column (which must raise ``QueryError`` exactly like the
-row-mode plan).  The two modes are differential-tested to produce
-identical outputs, including row order.
+closure).  Row mode (:func:`filter_rows`, :func:`group_by`) runs the
+same closures with no kernel dispatch; the two modes are
+differential-tested to produce identical outputs, including row order.
+Project and hash join have no kernel to dispatch to, so one
+implementation serves both modes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,35 +60,17 @@ def scan(rows: Iterable[Row]) -> Iterator[Row]:
 
 
 def filter_rows(rows: Iterable[Row], predicate: Expression) -> Iterator[Row]:
-    """WHERE: keep rows whose predicate evaluates to true (not NULL)."""
+    """WHERE, row at a time: keep rows whose predicate is true (not
+    NULL)."""
+    fn = predicate.compiled()
     for row in rows:
-        if predicate.evaluate(row) is True:
+        if fn(row) is True:
             yield row
-
-
-def project(rows: Iterable[Row],
-            outputs: Sequence[tuple[str, Expression]]) -> Iterator[Row]:
-    """SELECT list: compute named output expressions per row."""
-    for row in rows:
-        yield {name: expression.evaluate(row) for name, expression in outputs}
-
-
-def hash_join(left: Iterable[Row], right: Iterable[Row], left_key: str,
-              right_key: str, how: str = "inner") -> Iterator[Row]:
-    """Hash join: build on the right input, probe with the left.
-
-    ``how`` is ``"inner"`` or ``"left"`` (left outer).  Column name
-    collisions are resolved in the right row's favour except for the join
-    key, which keeps the left value.
-    """
-    build, null_pad = _join_build(right, right_key, how)
-    for row in left:
-        yield from _join_probe(row, build, null_pad, left_key, how)
 
 
 def _join_build(right: Iterable[Row], right_key: str,
                 how: str) -> tuple[dict[Any, list[Row]], Row]:
-    """Build phase shared by the row and morsel hash joins."""
+    """Build phase of :func:`hash_join_morsel`."""
     if how not in ("inner", "left"):
         raise QueryError(f"unsupported join type {how!r}")
     build: dict[Any, list[Row]] = {}
@@ -116,9 +103,9 @@ def _join_probe(row: Row, build: dict[Any, list[Row]], null_pad: Row,
 
 def group_by(rows: Iterable[Row], keys: Sequence[tuple[str, Expression]],
              aggregates: Sequence[tuple[str, Aggregate]]) -> Iterator[Row]:
-    """Hash aggregation, tuple at a time through the expression
-    interpreter.  With no keys, produces one global group (even over
-    empty input, per SQL semantics)."""
+    """Hash aggregation, tuple at a time through the compiled closures
+    with no kernel dispatch.  With no keys, produces one global group
+    (even over empty input, per SQL semantics)."""
     yield from finalize_groups(
         partial_group_by(rows, keys, aggregates, morsel=False),
         keys, aggregates)
@@ -131,9 +118,10 @@ def sort(rows: Iterable[Row],
     materialized = list(rows)
     # stable sort: apply keys from the least significant to the most
     for expression, descending in reversed(orders):
-        def sort_key(row: Row, e: Expression = expression,
+        def sort_key(row: Row,
+                     fn: Callable[[Row], Any] = expression.compiled(),
                      d: bool = descending) -> tuple:
-            value = e.evaluate(row)
+            value = fn(row)
             null_rank = 1 if value is None else 0
             if d:
                 null_rank = -null_rank
@@ -166,9 +154,9 @@ def window(rows: Iterable[Row], alias: str, function: WindowFunction,
     ordered by ``orders``; the result is added as column ``alias``."""
     ordered = sort(rows, orders) if orders else list(rows)
     out = []
-    for index, row in enumerate(ordered):
+    for row, value in zip(ordered, function.compute(ordered)):
         merged = dict(row)
-        merged[alias] = function.compute(ordered, index)
+        merged[alias] = value
         out.append(merged)
     return out
 
@@ -374,8 +362,8 @@ def filter_rows_morsel(rows: Iterable[Row],
 
 def project_morsel(rows: Iterable[Row],
                    outputs: Sequence[tuple[str, Expression]]) -> Iterator[Row]:
-    """Morsel-batched SELECT list: every output expression compiles to a
-    closure once, then runs over the batch without tree interpretation."""
+    """SELECT list, in both modes: every output expression compiles to
+    a closure once, then runs over each batch."""
     compiled = [(name, expression.compiled()) for name, expression in outputs]
     for morsel in _morsels(rows):
         for row in morsel:
@@ -385,8 +373,13 @@ def project_morsel(rows: Iterable[Row],
 def hash_join_morsel(left: Iterable[Row], right: Iterable[Row],
                      left_key: str, right_key: str,
                      how: str = "inner") -> Iterator[Row]:
-    """Hash join with a morsel-batched probe phase (same build table and
-    merge semantics as :func:`hash_join`)."""
+    """Hash join, in both modes: build on the right input, probe with
+    the left one morsel at a time.
+
+    ``how`` is ``"inner"`` or ``"left"`` (left outer).  Column name
+    collisions are resolved in the right row's favour except for the join
+    key, which keeps the left value.
+    """
     build, null_pad = _join_build(right, right_key, how)
     for morsel in _morsels(left):
         for row in morsel:
@@ -430,7 +423,7 @@ def _morsel_column(name: str, morsel: list[Row],
     values = []
     for row in morsel:
         if name not in row:
-            return None  # Col.evaluate raises; the closure path must run
+            return None  # the Col closure raises; it must run
         values.append(row[name])
     if for_sum and any(isinstance(v, float) for v in values):
         return None  # float addition order is observable; keep row order
@@ -552,17 +545,15 @@ def partial_group_by(rows: Iterable[Row],
 
     With ``morsel=True`` the accumulation runs the 1k-row morsel
     pipeline with numpy kernel dispatch and compiled-closure fallback;
-    ``morsel=False`` steps rows one at a time through the expression
-    interpreter — the independent reference the morsel path is
+    ``morsel=False`` steps every row through the same closures with no
+    kernels — the kernel-free reference the morsel path is
     differential-tested against.
     """
     groups: dict[tuple, tuple[Row, list]] = {}
-    if not morsel:
-        _step_groups(groups, rows, keys,
-                     [expression.evaluate for _name, expression in keys],
-                     aggregates)
-        return groups
     key_fns = [expression.compiled() for _name, expression in keys]
+    if not morsel:
+        _step_groups(groups, rows, keys, key_fns, aggregates)
+        return groups
     key_output = keys[0][0] if keys else None
     plan = _group_vector_plan(keys, aggregates)
     for batch in _morsels(rows):

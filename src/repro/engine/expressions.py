@@ -1,25 +1,29 @@
 """Scalar, predicate, aggregate and window expressions.
 
-Expressions form a small tree evaluated per row (rows are plain dicts).
-SQL NULL semantics are observed: any scalar operation over NULL yields
-NULL, comparisons with NULL are unknown (treated as false in WHERE), and
-aggregates skip NULLs.
+Expressions form a small tree that :meth:`Expression.compiled` lowers
+once to a per-row closure (rows are plain dicts); every operator, in
+either execution mode, runs that closure.  SQL NULL semantics are
+observed: any scalar operation over NULL yields NULL, comparisons with
+NULL are unknown (treated as false in WHERE), and aggregates skip NULLs.
 
 The module exposes Oracle-style helpers used by the paper's Figure 3
 queries — ``SUBSTR``, ``INSTR``, ``LAG(...) OVER (ORDER BY ...)`` — plus
-SQL/JSON expression wrappers (``JsonValueExpr``, ``JsonExistsExpr``) so
-queries can push predicates down onto JSON columns of any encoding.
+SQL/JSON expression wrappers (``JsonValueExpr``, ``JsonExistsExpr``,
+``JsonTextContainsExpr``) so queries can push predicates down onto JSON
+columns of any encoding.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.errors import QueryError
 from repro.obs import metrics as _metrics
-from repro.sqljson.operators import json_exists, json_value
+from repro.sqljson.operators import (json_exists, json_textcontains,
+                                     json_value)
 
 Row = dict
 
@@ -30,20 +34,13 @@ _COMPILE_MISSES = _metrics.counter("engine.expr_compile.misses")
 
 
 class Expression:
-    """Base class: ``evaluate(row)`` computes the value for one row."""
-
-    def evaluate(self, row: Row) -> Any:
-        raise NotImplementedError
+    """Base class: ``compiled()(row)`` computes the value for one row."""
 
     def compile(self) -> Callable[[Row], Any]:
-        """Lower this tree to a per-row closure.
-
-        Subclasses specialize to remove the per-row dispatch on ``self``
-        (operator lookup, attribute hops); the default interprets the
-        tree, so an un-specialized node is merely not faster, never
-        wrong.
-        """
-        return self.evaluate
+        """Lower this tree to a per-row closure, with the operator
+        lookups and attribute hops done here, once.  Callers go through
+        :meth:`compiled`."""
+        raise NotImplementedError
 
     def compiled(self) -> Callable[[Row], Any]:
         """Memoized :meth:`compile` — one closure per expression tree,
@@ -125,9 +122,6 @@ class Literal(Expression):
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def evaluate(self, row: Row) -> Any:
-        return self.value
-
     def compile(self) -> Callable[[Row], Any]:
         value = self.value
         return lambda row: value
@@ -147,11 +141,6 @@ class Col(Expression):
 
     def __init__(self, name: str) -> None:
         self.name = name
-
-    def evaluate(self, row: Row) -> Any:
-        if self.name not in row:
-            raise QueryError(f"unknown column {self.name!r}")
-        return row[self.name]
 
     def compile(self) -> Callable[[Row], Any]:
         name = self.name
@@ -177,9 +166,6 @@ class Aliased(Expression):
         self.inner = inner
         self.alias = alias
 
-    def evaluate(self, row: Row) -> Any:
-        return self.inner.evaluate(row)
-
     def compile(self) -> Callable[[Row], Any]:
         return self.inner.compiled()
 
@@ -191,10 +177,8 @@ class Arithmetic(Expression):
     __slots__ = ("op", "left", "right")
 
     _OPS: dict[str, Callable[[Any, Any], Any]] = {
-        "+": lambda a, b: a + b,
-        "-": lambda a, b: a - b,
-        "*": lambda a, b: a * b,
-        "/": lambda a, b: a / b,
+        "+": operator.add, "-": operator.sub,
+        "*": operator.mul, "/": operator.truediv,
     }
 
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
@@ -203,13 +187,6 @@ class Arithmetic(Expression):
         self.op = op
         self.left = left
         self.right = right
-
-    def evaluate(self, row: Row) -> Any:
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if left is None or right is None:
-            return None
-        return self._OPS[self.op](left, right)
 
     def compile(self) -> Callable[[Row], Any]:
         apply = self._OPS[self.op]
@@ -242,38 +219,14 @@ class Comparison(Expression):
     }
 
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
+        if op not in self._COMPARATORS:
+            raise QueryError(f"unknown comparison operator {op!r}")
         self.op = op
         self.left = left
         self.right = right
 
-    def evaluate(self, row: Row) -> Any:
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if left is None or right is None:
-            return None  # SQL three-valued logic: unknown
-        try:
-            if self.op == "=":
-                return left == right
-            if self.op == "<>":
-                return left != right
-            if self.op == "<":
-                return left < right
-            if self.op == "<=":
-                return left <= right
-            if self.op == ">":
-                return left > right
-            if self.op == ">=":
-                return left >= right
-        except TypeError:
-            return None
-        raise QueryError(f"unknown comparison {self.op!r}")
-
     def compile(self) -> Callable[[Row], Any]:
-        comparator = self._COMPARATORS.get(self.op)
-        if comparator is None:
-            # unknown operator: keep the interpreted path so the error
-            # still surfaces per row, exactly where evaluate() raises it
-            return self.evaluate
+        comparator = self._COMPARATORS[self.op]
         left = self.left.compiled()
         right = self.right.compiled()
 
@@ -298,16 +251,6 @@ class And(Expression):
 
     def __init__(self, *parts: Expression) -> None:
         self.parts = parts
-
-    def evaluate(self, row: Row) -> Any:
-        result: Any = True
-        for part in self.parts:
-            value = part.evaluate(row)
-            if value is False:
-                return False
-            if value is None:
-                result = None
-        return result
 
     def compile(self) -> Callable[[Row], Any]:
         parts = [p.compiled() for p in self.parts]
@@ -334,16 +277,6 @@ class Or(Expression):
     def __init__(self, *parts: Expression) -> None:
         self.parts = parts
 
-    def evaluate(self, row: Row) -> Any:
-        result: Any = False
-        for part in self.parts:
-            value = part.evaluate(row)
-            if value is True:
-                return True
-            if value is None:
-                result = None
-        return result
-
     def compile(self) -> Callable[[Row], Any]:
         parts = [p.compiled() for p in self.parts]
 
@@ -369,12 +302,6 @@ class Not(Expression):
     def __init__(self, inner: Expression) -> None:
         self.inner = inner
 
-    def evaluate(self, row: Row) -> Any:
-        value = self.inner.evaluate(row)
-        if value is None:
-            return None
-        return not value
-
     def compile(self) -> Callable[[Row], Any]:
         inner = self.inner.compiled()
 
@@ -396,12 +323,6 @@ class InList(Expression):
     def __init__(self, operand: Expression, values: tuple) -> None:
         self.operand = operand
         self.values = values
-
-    def evaluate(self, row: Row) -> Any:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return None
-        return value in self.values
 
     def compile(self) -> Callable[[Row], Any]:
         operand = self.operand.compiled()
@@ -434,12 +355,6 @@ class Like(Expression):
         escaped = re.escape(pattern).replace("%", ".*").replace("_", ".")
         self._regex = re.compile(f"^{escaped}$", re.DOTALL)
 
-    def evaluate(self, row: Row) -> Any:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return None
-        return bool(self._regex.match(str(value)))
-
     def compile(self) -> Callable[[Row], Any]:
         operand = self.operand.compiled()
         match = self._regex.match
@@ -462,10 +377,6 @@ class IsNull(Expression):
     def __init__(self, operand: Expression, expect_null: bool) -> None:
         self.operand = operand
         self.expect_null = expect_null
-
-    def evaluate(self, row: Row) -> Any:
-        is_null = self.operand.evaluate(row) is None
-        return is_null if self.expect_null else not is_null
 
     def compile(self) -> Callable[[Row], Any]:
         operand = self.operand.compiled()
@@ -492,12 +403,6 @@ class Func(Expression):
         self.name = name
         self.args = tuple(args)
         self.fn = fn
-
-    def evaluate(self, row: Row) -> Any:
-        values = [a.evaluate(row) for a in self.args]
-        if any(v is None for v in values):
-            return None
-        return self.fn(*values)
 
     def compile(self) -> Callable[[Row], Any]:
         args = [a.compiled() for a in self.args]
@@ -557,89 +462,114 @@ def LENGTH(operand: Any) -> Func:  # noqa: N802
     return Func("LENGTH", [wrap(operand)], lambda s: len(str(s)))
 
 
-def NVL(operand: Any, default: Any) -> Expression:  # noqa: N802
-    class _Nvl(Expression):
-        def __init__(self, inner: Expression, alt: Expression) -> None:
-            self.inner = inner
-            self.alt = alt
+class Nvl(Expression):
+    """``NVL(expr, alt)``: ``alt`` where ``expr`` is NULL."""
 
-        def evaluate(self, row: Row) -> Any:
-            value = self.inner.evaluate(row)
-            return self.alt.evaluate(row) if value is None else value
+    __slots__ = ("inner", "alt")
 
-        def sql(self) -> str:
-            return f"NVL({self.inner.sql()}, {self.alt.sql()})"
+    def __init__(self, inner: Expression, alt: Expression) -> None:
+        self.inner = inner
+        self.alt = alt
 
-    return _Nvl(wrap(operand), wrap(default))
+    def compile(self) -> Callable[[Row], Any]:
+        inner = self.inner.compiled()
+        alt = self.alt.compiled()
+
+        def fn(row: Row) -> Any:
+            value = inner(row)
+            return alt(row) if value is None else value
+
+        return fn
+
+    def sql(self) -> str:
+        return f"NVL({self.inner.sql()}, {self.alt.sql()})"
+
+
+def NVL(operand: Any, default: Any) -> Nvl:  # noqa: N802
+    return Nvl(wrap(operand), wrap(default))
 
 
 # -- SQL/JSON expression wrappers ----------------------------------------------
 
 
-class JsonValueExpr(Expression):
-    """``JSON_VALUE(col, 'path' RETURNING type)`` as a row expression."""
+class _SqlJsonExpr(Expression):
+    """Base of the SQL/JSON wrappers: one operator call per row on a JSON
+    column at a path; a NULL column yields :attr:`on_null`."""
 
-    __slots__ = ("column", "path", "returning")
+    __slots__ = ("column", "path")
 
-    def __init__(self, column: Union[str, Expression], path: str,
-                 returning: Optional[str] = None) -> None:
+    on_null: Any = None
+
+    def __init__(self, column: Union[str, Expression], path: str) -> None:
         self.column = Col(column) if isinstance(column, str) else column
         self.path = path
-        self.returning = returning
 
-    def evaluate(self, row: Row) -> Any:
-        data = self.column.evaluate(row)
-        if data is None:
-            return None
-        return json_value(data, self.path, returning=self.returning)
+    def bind(self) -> Callable[[Any], Any]:
+        """The SQL/JSON operator bound to this node's arguments."""
+        raise NotImplementedError
 
     def compile(self) -> Callable[[Row], Any]:
         column = self.column.compiled()
-        path = self.path
-        returning = self.returning
+        call = self.bind()
+        on_null = self.on_null
 
         def fn(row: Row) -> Any:
             data = column(row)
-            if data is None:
-                return None
-            return json_value(data, path, returning=returning)
+            return on_null if data is None else call(data)
 
         return fn
+
+
+class JsonValueExpr(_SqlJsonExpr):
+    """``JSON_VALUE(col, 'path' RETURNING type)`` as a row expression."""
+
+    __slots__ = ("returning",)
+
+    def __init__(self, column: Union[str, Expression], path: str,
+                 returning: Optional[str] = None) -> None:
+        super().__init__(column, path)
+        self.returning = returning
+
+    def bind(self) -> Callable[[Any], Any]:
+        return functools.partial(json_value, path=self.path,
+                                 returning=self.returning)
 
     def sql(self) -> str:
         returning = f" RETURNING {self.returning}" if self.returning else ""
         return f"JSON_VALUE({self.column.sql()}, '{self.path}'{returning})"
 
 
-class JsonExistsExpr(Expression):
+class JsonExistsExpr(_SqlJsonExpr):
     """``JSON_EXISTS(col, 'path')`` as a row predicate."""
 
-    __slots__ = ("column", "path")
+    on_null = False
 
-    def __init__(self, column: Union[str, Expression], path: str) -> None:
-        self.column = Col(column) if isinstance(column, str) else column
-        self.path = path
-
-    def evaluate(self, row: Row) -> Any:
-        data = self.column.evaluate(row)
-        if data is None:
-            return False
-        return json_exists(data, self.path)
-
-    def compile(self) -> Callable[[Row], Any]:
-        column = self.column.compiled()
-        path = self.path
-
-        def fn(row: Row) -> Any:
-            data = column(row)
-            if data is None:
-                return False
-            return json_exists(data, path)
-
-        return fn
+    def bind(self) -> Callable[[Any], Any]:
+        return functools.partial(json_exists, path=self.path)
 
     def sql(self) -> str:
         return f"JSON_EXISTS({self.column.sql()}, '{self.path}')"
+
+
+class JsonTextContainsExpr(_SqlJsonExpr):
+    """``JSON_TEXTCONTAINS(col, 'path', 'keywords')`` as a row predicate."""
+
+    __slots__ = ("keywords",)
+
+    on_null = False
+
+    def __init__(self, column: Union[str, Expression], path: str,
+                 keywords: str) -> None:
+        super().__init__(column, path)
+        self.keywords = keywords
+
+    def bind(self) -> Callable[[Any], Any]:
+        return functools.partial(json_textcontains, path=self.path,
+                                 keywords=self.keywords)
+
+    def sql(self) -> str:
+        return (f"JSON_TEXTCONTAINS({self.column.sql()}, '{self.path}', "
+                f"'{self.keywords}')")
 
 
 # -- aggregates ------------------------------------------------------------------
@@ -668,12 +598,12 @@ class AggregateState:
     """Accumulator for one group.  Besides the volcano ``step``/``final``
     protocol, states support the scatter-gather fold protocol:
 
-    * :meth:`merge` — combine another state of the same aggregate into
-      this one (in-process gather of per-shard partials);
-    * :meth:`partial` / :meth:`fold_partial` — the serializable form of
-      the same combine, for partials crossing a process boundary (states
-      hold compiled closures and cannot be pickled; their partial dicts
-      can).
+    * :meth:`partial` / :meth:`fold_partial` — combine another state of
+      the same aggregate into this one through its serializable partial
+      dict, which can cross a process boundary (states hold compiled
+      closures and cannot be pickled; their partial dicts can);
+    * :meth:`merge` — the in-process spelling of the same combine
+      (gather of per-shard partials).
 
     Merging is order-sensitive only where SQL addition is
     (float SUM/AVG reassociation); gather folds shards in shard-index
@@ -687,7 +617,7 @@ class AggregateState:
         raise NotImplementedError
 
     def merge(self, other: "AggregateState") -> None:
-        raise NotImplementedError
+        self.fold_partial(other.partial())
 
     def partial(self) -> dict:
         raise NotImplementedError
@@ -701,7 +631,6 @@ class CountAgg(Aggregate):
 
     class _State(AggregateState):
         def __init__(self, operand: Optional[Expression]) -> None:
-            self.operand = operand
             self._fn = None if operand is None else operand.compiled()
             self.count = 0
 
@@ -711,9 +640,6 @@ class CountAgg(Aggregate):
 
         def final(self) -> Any:
             return self.count
-
-        def merge(self, other: AggregateState) -> None:
-            self.count += other.count
 
         def partial(self) -> dict:
             return {"count": self.count}
@@ -730,7 +656,6 @@ class SumAgg(Aggregate):
 
     class _State(AggregateState):
         def __init__(self, operand: Expression) -> None:
-            self.operand = operand
             self._fn = operand.compiled()
             self.total: Any = None
 
@@ -742,11 +667,6 @@ class SumAgg(Aggregate):
 
         def final(self) -> Any:
             return self.total
-
-        def merge(self, other: AggregateState) -> None:
-            if other.total is not None:
-                self.total = (other.total if self.total is None
-                              else self.total + other.total)
 
         def partial(self) -> dict:
             return {"total": self.total}
@@ -768,7 +688,6 @@ class AvgAgg(Aggregate):
 
     class _State(AggregateState):
         def __init__(self, operand: Expression) -> None:
-            self.operand = operand
             self._fn = operand.compiled()
             self.total: Any = 0
             self.count = 0
@@ -782,10 +701,6 @@ class AvgAgg(Aggregate):
 
         def final(self) -> Any:
             return None if self.count == 0 else self.total / self.count
-
-        def merge(self, other: AggregateState) -> None:
-            self.total += other.total
-            self.count += other.count
 
         def partial(self) -> dict:
             return {"total": self.total, "count": self.count}
@@ -806,23 +721,15 @@ class _ExtremeAgg(Aggregate):
     class _State(AggregateState):
         def __init__(self, operand: Expression,
                      better: Callable[[Any, Any], bool]) -> None:
-            self.operand = operand
             self._fn = operand.compiled()
             self.better = better
             self.current: Any = None
 
         def step(self, row: Row) -> None:
-            value = self._fn(row)
-            if value is None:
-                return
-            if self.current is None or self.better(value, self.current):
-                self.current = value
+            self._absorb(self._fn(row))
 
         def final(self) -> Any:
             return self.current
-
-        def merge(self, other: AggregateState) -> None:
-            self._absorb(other.current)
 
         def partial(self) -> dict:
             return {"current": self.current}
@@ -878,7 +785,9 @@ def MAX(operand: Any) -> MaxAgg:  # noqa: N802
 class WindowFunction:
     """Base for window functions applied by the executor's window operator."""
 
-    def compute(self, rows: list[Row], index: int) -> Any:
+    def compute(self, rows: list[Row]) -> list[Any]:
+        """The function's value for every row of one ordered window,
+        positionally; expressions compile once per call, not per row."""
         raise NotImplementedError
 
 
@@ -892,13 +801,14 @@ class Lag(WindowFunction):
         self.offset = offset
         self.default = default
 
-    def compute(self, rows: list[Row], index: int) -> Any:
-        source = index - self.offset
-        if source < 0:
-            if self.default is None:
-                return None
-            return self.default.evaluate(rows[index])
-        return self.operand.evaluate(rows[source])
+    def compute(self, rows: list[Row]) -> list[Any]:
+        operand = self.operand.compiled()
+        default = (self.default.compiled() if self.default is not None
+                   else lambda row: None)
+        offset = self.offset
+        # the operand reads the row ``offset`` back, the default this row
+        return [operand(rows[index - offset]) if index >= offset
+                else default(row) for index, row in enumerate(rows)]
 
 
 def LAG(operand: Any, offset: int = 1, default: Any = None) -> Lag:  # noqa: N802

@@ -72,7 +72,8 @@ class PlanNode:
 
     #: stage identifier in ``profile()`` output ("scan", "where", ...)
     op: str = "?"
-    #: runs a distinct batched implementation under morsel mode
+    #: reports the query's mode in EXPLAIN ANALYZE: the stage batches
+    #: rows (and dispatches kernels where it has them) under morsel mode
     batched: bool = False
 
     def label(self) -> str:
@@ -161,8 +162,7 @@ class ProjectNode(PlanNode):
         return f"PROJECT {rendered}"
 
     def execute(self, rows: Iterator[Row], morsel: bool) -> Iterator[Row]:
-        return (executor.project_morsel(rows, self.outputs) if morsel
-                else executor.project(rows, self.outputs))
+        return executor.project_morsel(rows, self.outputs)
 
 
 class JoinNode(PlanNode):
@@ -181,9 +181,9 @@ class JoinNode(PlanNode):
                 f"{self.left_key} = {self.right_key}")
 
     def execute(self, rows: Iterator[Row], morsel: bool) -> Iterator[Row]:
-        join = executor.hash_join_morsel if morsel else executor.hash_join
-        return join(rows, iterate_source(self.other),
-                    self.left_key, self.right_key, self.how)
+        return executor.hash_join_morsel(rows, iterate_source(self.other),
+                                         self.left_key, self.right_key,
+                                         self.how)
 
 
 class GroupNode(PlanNode):
@@ -468,9 +468,11 @@ class ScatterRule:
     scan→filter→project[→group-by] prefix into a :class:`ScatterNode`
     with rewrite-time partition pruning.
 
-    Applies only to a plain scan of a source exposing ``shard_plan()``
-    (pushdown and scatter are mutually exclusive: JSON_TABLE views that
-    shard route their pushdown inside ``shard_plan``'s streams).
+    Applies only to a plain scan of a source exposing ``shard_plan()``.
+    Pushdown and scatter are mutually exclusive, and scatter wins: a
+    JSON_TABLE view over a sharded table gets no JSON_EXISTS document
+    pre-filter, because ``shard_plan``'s streams expand every document
+    of every surviving shard.  Pruning drops whole shards only.
     """
 
     def apply(self, plan: LogicalPlan) -> LogicalPlan:
@@ -596,10 +598,11 @@ class IMCScanRule:
                            + nodes[1:])
 
 
-# scatter first: a sharded source scatters (per-shard pruning subsumes
-# the document pre-filter); pushdown then no-ops because the head is no
-# longer a plain ScanNode.  IMC narrowing runs last for the same
-# reason — it only fires on a plain unsharded, un-pushed-down table
+# scatter first: a sharded source scatters, and pushdown then no-ops
+# because the head is no longer a plain ScanNode — so a sharded view
+# loses the per-document JSON_EXISTS pre-filter (shard pruning drops
+# whole shards only, never documents).  IMC narrowing runs last for the
+# same reason — it only fires on a plain unsharded, un-pushed-down table
 # scan, which is exactly what the earlier rules leave untouched.
 _RULES = (ScatterRule(), PushdownRule(), IMCScanRule())
 

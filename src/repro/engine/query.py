@@ -41,8 +41,8 @@ Row = dict
 Source = Union["Query", Iterable[Row], Callable[[], Iterator[Row]]]
 
 #: execution modes: "morsel" (the default) batches rows and dispatches
-#: vectorizable work to the numpy kernels; "row" is the tuple-at-a-time
-#: interpreter
+#: vectorizable work to the numpy kernels; "row" runs the same compiled
+#: closures tuple at a time with no kernel dispatch
 _VALID_MODES = ("morsel", "row")
 
 
@@ -72,8 +72,10 @@ class Query:
 
     def mode(self, mode: str) -> "Query":
         """Pin this plan's execution mode: ``"morsel"`` (batched,
-        kernel-dispatching) or ``"row"`` (tuple-at-a-time) — the ablation
-        benchmarks toggle this for before/after measurements."""
+        kernel-dispatching) or ``"row"`` (the same compiled closures,
+        tuple at a time, with no kernel dispatch) — the kernel-free
+        oracle of the differential tests, and the ablation benchmarks'
+        before/after toggle."""
         if mode not in _VALID_MODES:
             raise QueryError(f"unknown execution mode {mode!r}")
         return self._clone(_mode=mode)

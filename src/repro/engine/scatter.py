@@ -339,8 +339,7 @@ def _shard_pipeline(shard: ShardInput, predicate: Optional[Expression],
         rows = (executor.filter_rows_morsel(rows, predicate) if morsel
                 else executor.filter_rows(rows, predicate))
     if outputs is not None:
-        rows = (executor.project_morsel(rows, outputs) if morsel
-                else executor.project(rows, outputs))
+        rows = executor.project_morsel(rows, outputs)
     return rows
 
 

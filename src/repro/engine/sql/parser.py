@@ -67,27 +67,6 @@ class _Window:
     descending: bool
 
 
-class _JsonTextContains(expr.Expression):
-    """JSON_TEXTCONTAINS(col, 'path', 'keywords') as a row predicate."""
-
-    def __init__(self, column: expr.Expression, path: str,
-                 keywords: str) -> None:
-        self.column = column
-        self.path = path
-        self.keywords = keywords
-
-    def evaluate(self, row: dict) -> Any:
-        from repro.sqljson.operators import json_textcontains
-        data = self.column.evaluate(row)
-        if data is None:
-            return False
-        return json_textcontains(data, self.path, self.keywords)
-
-    def sql(self) -> str:
-        return (f"JSON_TEXTCONTAINS({self.column.sql()}, '{self.path}', "
-                f"'{self.keywords}')")
-
-
 _SCALAR_FUNCS = {"SUBSTR", "INSTR", "UPPER", "LOWER", "LENGTH", "NVL"}
 _AGG_FUNCS = {"COUNT", "SUM", "AVG", "MIN", "MAX", "JSON_DATAGUIDEAGG"}
 _CMP_TOKENS = {T.EQ: "=", T.NE: "<>", T.LT: "<", T.LE: "<=", T.GT: ">",
@@ -528,7 +507,7 @@ class _Parser:
             self._expect(T.COMMA)
             keywords = self._expect(T.STRING).value
             self._expect(T.RPAREN)
-            return _JsonTextContains(column, path, keywords)
+            return expr.JsonTextContainsExpr(column, path, keywords)
         if word == "LAG":
             self._advance()
             self._expect(T.LPAREN)

@@ -215,10 +215,11 @@ class Table:
         if not virtuals:
             yield from iter(self._rows)
             return
+        computed = [(c.name, c.expression.compiled()) for c in virtuals]
         for row in self._rows:
             out = dict(row)
-            for column in virtuals:
-                out[column.name] = column.expression.evaluate(row)
+            for name, fn in computed:
+                out[name] = fn(row)
             yield out
 
     def raw_rows(self) -> list[dict[str, Any]]:
@@ -387,13 +388,14 @@ class DurableTable(Table):
         read NULL, virtual columns are evaluated per row."""
         stored_names = {c.name for c in self._columns.values()
                         if not c.is_virtual}
-        virtuals = [c for c in self._columns.values() if c.is_virtual]
+        computed = [(c.name, c.expression.compiled())
+                    for c in self._columns.values() if c.is_virtual]
         for _, document in documents:
             row = _document_to_row(document)
             for name in stored_names - set(row):
                 row[name] = None
-            for column in virtuals:
-                row[column.name] = column.expression.evaluate(row)
+            for name, fn in computed:
+                row[name] = fn(row)
             yield row
 
     # -- scatter-gather (sharded stores) ------------------------------------

@@ -1,8 +1,8 @@
 """Vectorized predicate and aggregate kernels over column vectors.
 
 These are the "SIMD" operations of the in-memory columnar engine
-(section 5.2.1): whole-column numpy expressions replacing per-row
-interpretation.  Every kernel masks NULLs first, so SQL's
+(section 5.2.1): whole-column numpy expressions replacing the per-row
+closure loop.  Every kernel masks NULLs first, so SQL's
 unknown-drops-row semantics hold.
 """
 

@@ -261,8 +261,8 @@ class IMCStore:
         for name, values in state.values.items():
             column = table.column(name)
             if column.expression is not None:
-                expression = column.expression
-                values.extend(expression.evaluate(row) for row in appended)
+                fn = column.expression.compiled()
+                values.extend(fn(row) for row in appended)
             else:
                 values.extend(row.get(name) for row in appended)
         if state.doc_ids is not None:
@@ -338,13 +338,14 @@ class IMCStore:
             return None
         base = dict(zip(segment.doc_ids, segment.values))
         column = table.column(name)
-        expression = column.expression
+        fn = (None if column.expression is None
+              else column.expression.compiled())
         values = []
         for doc_id, row in pairs:
             if doc_id in base and doc_id not in dirty:
                 values.append(base[doc_id])
-            elif expression is not None:
-                values.append(expression.evaluate(row))
+            elif fn is not None:
+                values.append(fn(row))
             else:
                 values.append(row.get(name))
         return values
@@ -393,6 +394,6 @@ def _computed_values(table: Table, name: str,
     evaluated here — the priced extraction moment)."""
     column = table.column(name)
     if column.expression is not None:
-        expression = column.expression
-        return [expression.evaluate(row) for row in rows]
+        fn = column.expression.compiled()
+        return [fn(row) for row in rows]
     return [row.get(name) for row in rows]

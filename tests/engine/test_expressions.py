@@ -6,6 +6,7 @@ from repro.engine import expr
 from repro.engine.expressions import (
     And,
     Col,
+    Comparison,
     Literal,
     Not,
     Or,
@@ -17,111 +18,118 @@ ROW = {"a": 5, "b": "text", "c": None, "d": 2.5, "reference": "BULL-2014"}
 
 class TestScalars:
     def test_col_and_literal(self):
-        assert Col("a").evaluate(ROW) == 5
-        assert Literal(7).evaluate(ROW) == 7
+        assert Col("a").compiled()(ROW) == 5
+        assert Literal(7).compiled()(ROW) == 7
 
     def test_unknown_column_raises(self):
         with pytest.raises(QueryError):
-            Col("zzz").evaluate(ROW)
+            Col("zzz").compiled()(ROW)
 
     def test_arithmetic(self):
-        assert (Col("a") + 1).evaluate(ROW) == 6
-        assert (Col("a") - 2).evaluate(ROW) == 3
-        assert (Col("a") * Col("d")).evaluate(ROW) == 12.5
-        assert (Col("a") / 2).evaluate(ROW) == 2.5
+        assert (Col("a") + 1).compiled()(ROW) == 6
+        assert (Col("a") - 2).compiled()(ROW) == 3
+        assert (Col("a") * Col("d")).compiled()(ROW) == 12.5
+        assert (Col("a") / 2).compiled()(ROW) == 2.5
 
     def test_arithmetic_null_propagates(self):
-        assert (Col("c") + 1).evaluate(ROW) is None
-        assert (Col("a") * Col("c")).evaluate(ROW) is None
+        assert (Col("c") + 1).compiled()(ROW) is None
+        assert (Col("a") * Col("c")).compiled()(ROW) is None
 
     def test_alias(self):
         aliased = (Col("a") + 1).as_("a1")
         assert aliased.alias == "a1"
-        assert aliased.evaluate(ROW) == 6
+        assert aliased.compiled()(ROW) == 6
 
 
 class TestPredicates:
     def test_comparisons(self):
-        assert (Col("a") == 5).evaluate(ROW) is True
-        assert (Col("a") != 5).evaluate(ROW) is False
-        assert (Col("a") < 6).evaluate(ROW) is True
-        assert (Col("a") >= 5).evaluate(ROW) is True
+        assert (Col("a") == 5).compiled()(ROW) is True
+        assert (Col("a") != 5).compiled()(ROW) is False
+        assert (Col("a") < 6).compiled()(ROW) is True
+        assert (Col("a") >= 5).compiled()(ROW) is True
 
     def test_null_comparison_unknown(self):
-        assert (Col("c") == 5).evaluate(ROW) is None
-        assert (Col("c") != 5).evaluate(ROW) is None
+        assert (Col("c") == 5).compiled()(ROW) is None
+        assert (Col("c") != 5).compiled()(ROW) is None
 
     def test_cross_type_comparison_unknown(self):
-        assert (Col("a") < "text").evaluate(ROW) is None
+        assert (Col("a") < "text").compiled()(ROW) is None
 
     def test_three_valued_and(self):
         true = Literal(1) == 1
         false = Literal(1) == 2
         null = Col("c") == 1
-        assert And(true, true).evaluate(ROW) is True
-        assert And(true, false).evaluate(ROW) is False
-        assert And(true, null).evaluate(ROW) is None
-        assert And(false, null).evaluate(ROW) is False  # short-circuit
+        assert And(true, true).compiled()(ROW) is True
+        assert And(true, false).compiled()(ROW) is False
+        assert And(true, null).compiled()(ROW) is None
+        assert And(false, null).compiled()(ROW) is False  # short-circuit
 
     def test_three_valued_or(self):
         true = Literal(1) == 1
         false = Literal(1) == 2
         null = Col("c") == 1
-        assert Or(false, true).evaluate(ROW) is True
-        assert Or(false, false).evaluate(ROW) is False
-        assert Or(false, null).evaluate(ROW) is None
-        assert Or(true, null).evaluate(ROW) is True
+        assert Or(false, true).compiled()(ROW) is True
+        assert Or(false, false).compiled()(ROW) is False
+        assert Or(false, null).compiled()(ROW) is None
+        assert Or(true, null).compiled()(ROW) is True
 
     def test_not(self):
-        assert Not(Literal(1) == 1).evaluate(ROW) is False
-        assert Not(Col("c") == 1).evaluate(ROW) is None
+        assert Not(Literal(1) == 1).compiled()(ROW) is False
+        assert Not(Col("c") == 1).compiled()(ROW) is None
 
     def test_in_list(self):
-        assert Col("a").in_([1, 5, 9]).evaluate(ROW) is True
-        assert Col("a").in_([1, 2]).evaluate(ROW) is False
-        assert Col("c").in_([1]).evaluate(ROW) is None
+        assert Col("a").in_([1, 5, 9]).compiled()(ROW) is True
+        assert Col("a").in_([1, 2]).compiled()(ROW) is False
+        assert Col("c").in_([1]).compiled()(ROW) is None
 
     def test_like(self):
-        assert Col("b").like("te%").evaluate(ROW) is True
-        assert Col("b").like("%xt").evaluate(ROW) is True
-        assert Col("b").like("t_xt").evaluate(ROW) is True
-        assert Col("b").like("z%").evaluate(ROW) is False
-        assert Col("c").like("%").evaluate(ROW) is None
+        assert Col("b").like("te%").compiled()(ROW) is True
+        assert Col("b").like("%xt").compiled()(ROW) is True
+        assert Col("b").like("t_xt").compiled()(ROW) is True
+        assert Col("b").like("z%").compiled()(ROW) is False
+        assert Col("c").like("%").compiled()(ROW) is None
+
+    def test_unknown_comparison_operator_rejected_at_build(self):
+        with pytest.raises(QueryError):
+            Comparison("~", Col("a"), Literal(1))
 
     def test_is_null(self):
-        assert Col("c").is_null().evaluate(ROW) is True
-        assert Col("a").is_null().evaluate(ROW) is False
-        assert Col("a").is_not_null().evaluate(ROW) is True
+        assert Col("c").is_null().compiled()(ROW) is True
+        assert Col("a").is_null().compiled()(ROW) is False
+        assert Col("a").is_not_null().compiled()(ROW) is True
 
 
 class TestFunctions:
     def test_substr(self):
-        assert expr.SUBSTR(Col("b"), 2).evaluate(ROW) == "ext"
-        assert expr.SUBSTR(Col("b"), 1, 2).evaluate(ROW) == "te"
-        assert expr.SUBSTR(Col("b"), -2).evaluate(ROW) == "xt"
+        assert expr.SUBSTR(Col("b"), 2).compiled()(ROW) == "ext"
+        assert expr.SUBSTR(Col("b"), 1, 2).compiled()(ROW) == "te"
+        assert expr.SUBSTR(Col("b"), -2).compiled()(ROW) == "xt"
 
     def test_instr(self):
-        assert expr.INSTR(Col("reference"), "-").evaluate(ROW) == 5
-        assert expr.INSTR(Col("reference"), "zz").evaluate(ROW) == 0
+        assert expr.INSTR(Col("reference"), "-").compiled()(ROW) == 5
+        assert expr.INSTR(Col("reference"), "zz").compiled()(ROW) == 0
 
     def test_substr_after_instr(self):
         # the Q6 idiom: order-sequence extraction from the reference
         seq = expr.SUBSTR(Col("reference"),
                           expr.INSTR(Col("reference"), "-") + 1)
-        assert seq.evaluate(ROW) == "2014"
+        assert seq.compiled()(ROW) == "2014"
 
     def test_upper_lower_length(self):
-        assert expr.UPPER(Col("b")).evaluate(ROW) == "TEXT"
-        assert expr.LOWER(Literal("ABC")).evaluate(ROW) == "abc"
-        assert expr.LENGTH(Col("b")).evaluate(ROW) == 4
+        assert expr.UPPER(Col("b")).compiled()(ROW) == "TEXT"
+        assert expr.LOWER(Literal("ABC")).compiled()(ROW) == "abc"
+        assert expr.LENGTH(Col("b")).compiled()(ROW) == 4
 
     def test_nvl(self):
-        assert expr.NVL(Col("c"), 0).evaluate(ROW) == 0
-        assert expr.NVL(Col("a"), 0).evaluate(ROW) == 5
+        assert expr.NVL(Col("c"), 0).compiled()(ROW) == 0
+        assert expr.NVL(Col("a"), 0).compiled()(ROW) == 5
+
+    def test_nvl_is_one_class(self):
+        assert type(expr.NVL(Col("a"), 0)) is type(expr.NVL(Col("b"), 1))
 
     def test_functions_null_propagate(self):
-        assert expr.SUBSTR(Col("c"), 1).evaluate(ROW) is None
-        assert expr.UPPER(Col("c")).evaluate(ROW) is None
+        assert expr.SUBSTR(Col("c"), 1).compiled()(ROW) is None
+        assert expr.UPPER(Col("c")).compiled()(ROW) is None
 
 
 class TestJsonExpressions:
@@ -129,13 +137,22 @@ class TestJsonExpressions:
 
     def test_json_value_expr(self):
         e = expr.JsonValueExpr("jdoc", "$.a.b", returning="number")
-        assert e.evaluate(self.ROW) == 7
-        assert e.evaluate({"jdoc": None}) is None
+        assert e.compiled()(self.ROW) == 7
+        assert e.compiled()({"jdoc": None}) is None
 
     def test_json_exists_expr(self):
-        assert expr.JsonExistsExpr("jdoc", "$.a.b").evaluate(self.ROW) is True
-        assert expr.JsonExistsExpr("jdoc", "$.a.c").evaluate(self.ROW) is False
-        assert expr.JsonExistsExpr("jdoc", "$.a").evaluate({"jdoc": None}) is False
+        assert expr.JsonExistsExpr("jdoc", "$.a.b").compiled()(self.ROW) is True
+        assert expr.JsonExistsExpr("jdoc", "$.a.c").compiled()(self.ROW) is False
+        assert expr.JsonExistsExpr("jdoc", "$.a").compiled()({"jdoc": None}) is False
+
+    def test_json_textcontains_expr(self):
+        row = {"jdoc": '{"tags": ["red", "hot"]}'}
+        e = expr.JsonTextContainsExpr("jdoc", "$.tags", "red")
+        assert e.compiled()(row) is True
+        assert expr.JsonTextContainsExpr(
+            "jdoc", "$.tags", "blue").compiled()(row) is False
+        assert e.compiled()({"jdoc": None}) is False
+        assert e.sql() == "JSON_TEXTCONTAINS(jdoc, '$.tags', 'red')"
 
     def test_sql_rendering(self):
         e = expr.JsonValueExpr("jdoc", "$.a.b", returning="number")
@@ -188,18 +205,18 @@ class TestWindow:
     def test_lag(self):
         rows = [{"q": 10}, {"q": 20}, {"q": 30}]
         lag = expr.LAG(Col("q"))
-        assert lag.compute(rows, 0) is None
-        assert lag.compute(rows, 1) == 10
-        assert lag.compute(rows, 2) == 20
+        assert lag.compute(rows)[0] is None
+        assert lag.compute(rows)[1] == 10
+        assert lag.compute(rows)[2] == 20
 
     def test_lag_with_default(self):
         rows = [{"q": 10}, {"q": 20}]
         lag = expr.LAG(Col("q"), 1, Col("q"))
-        assert lag.compute(rows, 0) == 10  # default evaluated on current row
-        assert lag.compute(rows, 1) == 10
+        assert lag.compute(rows)[0] == 10  # default evaluated on current row
+        assert lag.compute(rows)[1] == 10
 
     def test_lag_offset(self):
         rows = [{"q": i} for i in range(5)]
         lag = expr.LAG(Col("q"), 3)
-        assert lag.compute(rows, 4) == 1
-        assert lag.compute(rows, 2) is None
+        assert lag.compute(rows)[4] == 1
+        assert lag.compute(rows)[2] is None

@@ -178,8 +178,8 @@ class TestColumnWalker:
         assert out == {"a", "b", "c", "d", "e"}
 
     def test_bails_on_unknown_nodes(self):
-        # NVL builds a closure-local Expression subclass the walker
-        # cannot see through — it must refuse, not guess
+        # NVL is a node shape the walker does not resolve — it must
+        # refuse, not guess
         assert not _collect_columns(expr.NVL(expr.Col("a"), 0), set())
 
     def test_unknown_node_in_plan_disables_rule(self):

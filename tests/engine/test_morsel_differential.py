@@ -1,8 +1,10 @@
 """Differential tests: morsel-batched execution vs row-at-a-time.
 
-Every plan must produce the identical row list (values *and* order)
-under both execution modes, whether a batch dispatches to the numpy
-kernels or falls back to compiled closures.  The row strategies
+Row mode runs the same compiled closures as morsel mode, tuple at a
+time and with no kernel dispatch, so it is the kernel-free oracle: every
+plan must produce the identical row list (values *and* order) under both
+execution modes, whether a batch dispatches to the numpy kernels or
+falls back to the closures.  The row strategies
 deliberately include the gate-tripping cases — booleans, huge ints,
 floats, NULL group keys, mixed-type columns — so both dispatch outcomes
 are exercised.

@@ -74,6 +74,14 @@ class TestBasics:
         assert len(execute_sql(
             db, "SELECT id FROM emp WHERE salary IS NOT NULL")) == 4
 
+    def test_nvl(self, db):
+        rows = execute_sql(db, "SELECT id, NVL(salary, 0) AS pay FROM emp "
+                               "ORDER BY id")
+        assert [r["pay"] for r in rows] == [100, 120, 90, 0, 80]
+        rows = execute_sql(db, "SELECT name FROM emp "
+                               "WHERE NVL(salary, 0) < 95 ORDER BY id")
+        assert rows == [{"name": "cat"}, {"name": "dan"}, {"name": "eve"}]
+
     def test_order_limit_distinct(self, db):
         rows = execute_sql(db, "SELECT DISTINCT dept FROM emp ORDER BY dept")
         assert [r["dept"] for r in rows] == ["eng", "hr", "ops"]
@@ -181,6 +189,14 @@ class TestSqlJson:
     def test_json_textcontains(self, db):
         rows = execute_sql(db, "SELECT id FROM docs WHERE "
                                "JSON_TEXTCONTAINS(jdoc, '$.tags', 'red')")
+        assert rows == [{"id": 1}]
+
+    def test_json_textcontains_negated_and_all_keywords(self, db):
+        rows = execute_sql(db, "SELECT id FROM docs WHERE NOT "
+                               "JSON_TEXTCONTAINS(jdoc, '$.tags', 'red')")
+        assert rows == [{"id": 2}]
+        rows = execute_sql(db, "SELECT id FROM docs WHERE "
+                               "JSON_TEXTCONTAINS(jdoc, '$.tags', 'red hot')")
         assert rows == [{"id": 1}]
 
     def test_json_dataguideagg(self, db):

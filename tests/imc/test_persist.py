@@ -101,7 +101,7 @@ class TestColdStart:
         for name in COLUMNS:
             column = table.column(name)
             if column.expression is not None:
-                expected = [column.expression.evaluate(r)
+                expected = [column.expression.compiled()(r)
                             for r in table.raw_rows()]
             else:
                 expected = [r.get(name) for r in table.raw_rows()]

@@ -76,7 +76,7 @@ def row_mode_column(table, name):
     """What row-at-a-time evaluation serves for one column right now."""
     column = table.column(name)
     if column.expression is not None:
-        return [column.expression.evaluate(r) for r in table.raw_rows()]
+        return [column.expression.compiled()(r) for r in table.raw_rows()]
     return [r.get(name) for r in table.raw_rows()]
 
 
