@@ -17,12 +17,12 @@ sources — no index, no stored schema.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.core.dataguide.builder import DataGuideBuilder
 from repro.core.dataguide.guide import DataGuide
 from repro.engine.constraints import decode_json
-from repro.engine.expressions import Aggregate, AggregateState, Col, Expression
+from repro.engine.expressions import Aggregate, AggregateState, Col
 
 
 def json_dataguide_agg(documents: Iterable[Any],
@@ -55,8 +55,8 @@ class JsonDataGuideAgg(Aggregate):
     name = "JSON_DATAGUIDEAGG"
 
     class _State(AggregateState):
-        def __init__(self, operand: Expression) -> None:
-            self._fn = operand.compiled()
+        def __init__(self, fn: Callable[[dict], Any]) -> None:
+            self._fn = fn
             self.builder = DataGuideBuilder()
 
         def step(self, row: dict) -> None:
@@ -78,4 +78,4 @@ class JsonDataGuideAgg(Aggregate):
         super().__init__(operand)
 
     def create(self) -> AggregateState:
-        return self._State(self.operand)
+        return self._State(self.operand_fn)

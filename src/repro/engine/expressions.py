@@ -583,6 +583,11 @@ class Aggregate:
     def __init__(self, operand: Optional[Expression] = None) -> None:
         self.operand = operand
 
+    @functools.cached_property
+    def operand_fn(self) -> Optional[Callable[[Row], Any]]:
+        """The operand's closure, compiled once for every group's state."""
+        return None if self.operand is None else self.operand.compiled()
+
     def create(self) -> "AggregateState":
         raise NotImplementedError
 
@@ -630,8 +635,8 @@ class CountAgg(Aggregate):
     name = "COUNT"
 
     class _State(AggregateState):
-        def __init__(self, operand: Optional[Expression]) -> None:
-            self._fn = None if operand is None else operand.compiled()
+        def __init__(self, fn: Optional[Callable[[Row], Any]]) -> None:
+            self._fn = fn
             self.count = 0
 
         def step(self, row: Row) -> None:
@@ -648,15 +653,15 @@ class CountAgg(Aggregate):
             self.count += partial["count"]
 
     def create(self) -> AggregateState:
-        return self._State(self.operand)
+        return self._State(self.operand_fn)
 
 
 class SumAgg(Aggregate):
     name = "SUM"
 
     class _State(AggregateState):
-        def __init__(self, operand: Expression) -> None:
-            self._fn = operand.compiled()
+        def __init__(self, fn: Callable[[Row], Any]) -> None:
+            self._fn = fn
             self.total: Any = None
 
         def step(self, row: Row) -> None:
@@ -680,15 +685,15 @@ class SumAgg(Aggregate):
     def create(self) -> AggregateState:
         if self.operand is None:
             raise QueryError("SUM requires an operand")
-        return self._State(self.operand)
+        return self._State(self.operand_fn)
 
 
 class AvgAgg(Aggregate):
     name = "AVG"
 
     class _State(AggregateState):
-        def __init__(self, operand: Expression) -> None:
-            self._fn = operand.compiled()
+        def __init__(self, fn: Callable[[Row], Any]) -> None:
+            self._fn = fn
             self.total: Any = 0
             self.count = 0
 
@@ -712,16 +717,16 @@ class AvgAgg(Aggregate):
     def create(self) -> AggregateState:
         if self.operand is None:
             raise QueryError("AVG requires an operand")
-        return self._State(self.operand)
+        return self._State(self.operand_fn)
 
 
 class _ExtremeAgg(Aggregate):
     better: Callable[[Any, Any], bool]
 
     class _State(AggregateState):
-        def __init__(self, operand: Expression,
+        def __init__(self, fn: Callable[[Row], Any],
                      better: Callable[[Any, Any], bool]) -> None:
-            self._fn = operand.compiled()
+            self._fn = fn
             self.better = better
             self.current: Any = None
 
@@ -746,7 +751,7 @@ class _ExtremeAgg(Aggregate):
     def create(self) -> AggregateState:
         if self.operand is None:
             raise QueryError(f"{self.name} requires an operand")
-        return self._State(self.operand, type(self).better)
+        return self._State(self.operand_fn, type(self).better)
 
 
 class MinAgg(_ExtremeAgg):

@@ -534,7 +534,10 @@ def _collect_columns(expr: Any, out: set) -> bool:
         return _collect_columns(expr.operand, out)
     if isinstance(expr, E.Func):
         return all(_collect_columns(arg, out) for arg in expr.args)
-    if isinstance(expr, (E.JsonValueExpr, E.JsonExistsExpr)):
+    if isinstance(expr, E.Nvl):
+        return (_collect_columns(expr.inner, out)
+                and _collect_columns(expr.alt, out))
+    if isinstance(expr, E._SqlJsonExpr):
         return _collect_columns(expr.column, out)
     return False
 

@@ -18,6 +18,8 @@ from repro.engine.expressions import Expression
 from repro.engine.types import SqlType, parse_type
 from repro.errors import CatalogError, EngineError
 
+Listener = Callable[[int, dict], None]  # listener(doc_id, row)
+
 
 @dataclass
 class Column:
@@ -27,7 +29,6 @@ class Column:
     sql_type: SqlType
     nullable: bool = True
     expression: Optional[Expression] = None
-    hidden: bool = False
 
     @property
     def is_virtual(self) -> bool:
@@ -40,7 +41,10 @@ class Column:
 
 
 class Table:
-    """A heap table: rows, columns, constraints, insert/update/delete."""
+    """A heap table: rows, columns, constraints, insert/update/delete.
+
+    The table owns row identity: its heap maps doc id → stored row in
+    insert order, and listeners and secondary structures key by it."""
 
     def __init__(self, name: str, columns: Sequence[Column]) -> None:
         if not columns:
@@ -50,10 +54,13 @@ class Table:
             raise CatalogError(f"duplicate column names in table {name}")
         self.name = name
         self._columns: dict[str, Column] = {c.name: c for c in columns}
-        self._rows: list[dict[str, Any]] = []
+        # inserts add in place; update and delete rebind a new dict, so
+        # a scan's one-step snapshot sees each row once beside any DML
+        self._rows: dict[int, dict[str, Any]] = {}
+        self._next_doc_id = 0
         self._constraints: list[Constraint] = []
-        self._insert_listeners: list[Callable[[dict], None]] = []
-        self._delete_listeners: list[Callable[[dict], None]] = []
+        self._insert_listeners: list[Listener] = []
+        self._delete_listeners: list[Listener] = []
         #: the columnar cache this table is bound into, if any — set by
         #: :meth:`repro.imc.store.IMCStore.bind`; the plan rewrite uses
         #: it to narrow scans to the referenced columns (§5.2)
@@ -106,19 +113,27 @@ class Table:
 
     # -- listeners (index maintenance) ----------------------------------------
 
-    def on_insert(self, listener: Callable[[dict], None]) -> None:
+    def on_insert(self, listener: Listener) -> None:
+        """Call ``listener(doc_id, row)`` for each row that lands."""
         self._insert_listeners.append(listener)
 
-    def on_delete(self, listener: Callable[[dict], None]) -> None:
+    def on_delete(self, listener: Listener) -> None:
+        """Call ``listener(doc_id, row)`` for each row deleted."""
         self._delete_listeners.append(listener)
+
+    def remove_listener(self, listener: Listener) -> None:
+        """Stop calling ``listener`` on insert and on delete."""
+        for listeners in (self._insert_listeners, self._delete_listeners):
+            if listener in listeners:
+                listeners.remove(listener)
 
     # -- DML ---------------------------------------------------------------------
 
     def _prepare_insert(self, row: dict[str, Any]) -> dict[str, Any]:
         """Validate one row for insert — coerce types, fill NULL
-        defaults, run constraints — without appending it or firing
+        defaults, run constraints — without landing it or firing
         listeners.  This is the staging half of an insert: batched
-        paths validate every row first, then commit them together.
+        paths validate every row first, then land them together.
 
         Unknown keys raise; missing stored columns default to NULL;
         virtual columns must not be supplied.
@@ -142,67 +157,125 @@ class Table:
             constraint.check(stored)
         return stored
 
+    def _assign_ids(self, rows: list[dict[str, Any]]
+                    ) -> tuple[Sequence[int], Any]:
+        """Doc ids for validated rows about to land, and the handle that
+        acknowledges their write (None: nothing to wait for).  A durable
+        table stages its store write here, before any row lands."""
+        first = self._next_doc_id
+        self._next_doc_id = first + len(rows)
+        return range(first, self._next_doc_id), None
+
+    def _await(self, handle: Any) -> None:
+        """Block until the write behind ``handle`` is acknowledged."""
+
+    def _persist_delete(self, doc_id: int) -> None:
+        """Make one row's delete durable, before it leaves the heap."""
+
+    def _land(self, rows: Iterable[dict[str, Any]]
+              ) -> tuple[list[dict[str, Any]], Any]:
+        """Every insert's one path: validate all rows, assign their ids,
+        then land them and fire the insert listeners.  Returns the
+        stored rows and the write's handle."""
+        prepared = [self._prepare_insert(row) for row in rows]
+        if not prepared:
+            return prepared, None
+        doc_ids, handle = self._assign_ids(prepared)
+        for doc_id, stored in zip(doc_ids, prepared):
+            self._rows[doc_id] = stored
+            for listener in self._insert_listeners:
+                listener(doc_id, stored)
+        return prepared, handle
+
     def insert(self, row: dict[str, Any]) -> dict[str, Any]:
         """Insert one row: coerce types, run constraints, fire listeners."""
-        stored = self._prepare_insert(row)
-        self._rows.append(stored)
-        for listener in self._insert_listeners:
-            listener(stored)
+        (stored,), handle = self._land([row])
+        self._await(handle)
         return stored
 
-    def insert_many(self, rows: Sequence[dict[str, Any]]) -> int:
+    def insert_many(self, rows: Iterable[dict[str, Any]]) -> int:
         """Insert a batch, validating every row before the first lands:
-        a constraint failure anywhere leaves the table unchanged."""
-        prepared = [self._prepare_insert(row) for row in rows]
-        for stored in prepared:
-            self._rows.append(stored)
-            for listener in self._insert_listeners:
-                listener(stored)
+        a constraint failure anywhere leaves the table unchanged.  A
+        durable table writes the batch as **one** logical commit."""
+        prepared, handle = self._land(rows)
+        self._await(handle)
         return len(prepared)
+
+    def insert_many_pending(self, rows: Iterable[dict[str, Any]]) -> Any:
+        """:meth:`insert_many` without the durability wait.  Returns the
+        commit handle — ``None`` when there is nothing to wait for (an
+        empty batch, or a table without a store).  A durable batch is
+        acknowledged only once ``table.store.pipeline.wait(handle)``
+        returns, and a snapshot holds all of its rows or none of them.
+
+        This is the serving layer's write path: the caller serializes
+        heap mutation (this method) under its write lock but performs
+        the durability wait *outside* it, so many sessions' commits can
+        share one fsync.  Until the handle resolves, the rows are
+        visible to live ``scan()`` but to no snapshot."""
+        return self._land(rows)[1]
 
     def delete(self, predicate: Callable[[dict], Any]) -> int:
         """Delete rows matching ``predicate``; returns the count removed."""
-        kept: list[dict[str, Any]] = []
-        removed = 0
-        for row in self._rows:
-            if predicate(row):
-                removed += 1
-                for listener in self._delete_listeners:
-                    listener(row)
-            else:
-                kept.append(row)
-        self._rows = kept
-        return removed
+        moved: dict[int, Optional[tuple]] = {}
+        try:
+            for doc_id, row in list(self._rows.items()):
+                if predicate(row):
+                    self._persist_delete(doc_id)
+                    moved[doc_id] = None
+                    for listener in self._delete_listeners:
+                        listener(doc_id, row)
+        finally:
+            self._rekey(moved)
+        return len(moved)
 
     def update(self, predicate: Callable[[dict], Any],
                changes: dict[str, Any]) -> int:
-        """Update matching rows in place (replace semantics: delete+insert
-        listeners fire so indexes stay in sync)."""
+        """Update matching rows with replace semantics: each is deleted
+        and re-inserted under a new doc id at the same heap position,
+        and delete + insert listeners fire so indexes stay in sync.
+        Every new row is validated before the first write, so a
+        coercion or constraint failure leaves the table unchanged."""
         coerced: dict[str, Any] = {}
         for key, value in changes.items():
             column = self.column(key)
             if column.is_virtual:
                 raise EngineError(f"cannot update virtual column {key!r}")
             coerced[key] = column.sql_type.coerce(value)
-        updated = 0
-        for row in self._rows:
-            if not predicate(row):
-                continue
-            # validate against a copy before any side effect: once the
-            # delete listeners fire, backing state (indexes, durable
-            # documents) is already gone, so a constraint failure after
-            # that point would strand the row
-            candidate = dict(row)
-            candidate.update(coerced)
-            for constraint in self._constraints:
-                constraint.check(candidate)
-            for listener in self._delete_listeners:
-                listener(row)
-            row.update(coerced)
-            for listener in self._insert_listeners:
-                listener(row)
-            updated += 1
-        return updated
+        staged = []
+        for doc_id, row in list(self._rows.items()):
+            if predicate(row):
+                candidate = {**row, **coerced}
+                for constraint in self._constraints:
+                    constraint.check(candidate)
+                staged.append((doc_id, row, candidate))
+        moved: dict[int, Optional[tuple]] = {}
+        try:
+            for doc_id, row, candidate in staged:
+                self._persist_delete(doc_id)
+                moved[doc_id] = None
+                for listener in self._delete_listeners:
+                    listener(doc_id, row)
+                (new_id,), handle = self._assign_ids([candidate])
+                moved[doc_id] = (new_id, candidate)
+                for listener in self._insert_listeners:
+                    listener(new_id, candidate)
+                self._await(handle)
+        finally:
+            self._rekey(moved)
+        return len(moved)
+
+    def _rekey(self, moved: dict[int, Optional[tuple]]) -> None:
+        """Rebind the heap with each ``moved`` doc id's row replaced in
+        place by its ``(new doc id, row)``, or dropped for None.  One
+        new dict: a scan's snapshot holds the old heap or the new one."""
+        if moved:
+            heap = {}
+            for doc_id, row in list(self._rows.items()):
+                entry = moved.get(doc_id, (doc_id, row))
+                if entry is not None:
+                    heap[entry[0]] = entry[1]
+            self._rows = heap
 
     # -- reads --------------------------------------------------------------------
 
@@ -211,20 +284,27 @@ class Table:
 
     def scan(self) -> Iterator[dict[str, Any]]:
         """Full scan; virtual columns are computed into each output row."""
+        rows = list(self._rows.values())  # one step: a consistent snapshot
         virtuals = [c for c in self._columns.values() if c.is_virtual]
         if not virtuals:
-            yield from iter(self._rows)
+            yield from rows
             return
         computed = [(c.name, c.expression.compiled()) for c in virtuals]
-        for row in self._rows:
+        for row in rows:
             out = dict(row)
             for name, fn in computed:
                 out[name] = fn(row)
             yield out
 
-    def raw_rows(self) -> list[dict[str, Any]]:
-        """Stored rows without virtual-column evaluation (internal use)."""
-        return self._rows
+    def doc_id_rows(self) -> list[tuple[int, dict[str, Any]]]:
+        """(doc id, stored row) pairs in heap order; stored rows carry no
+        virtual columns."""
+        return list(self._rows.items())
+
+    def rows_by_id(self, doc_ids: Iterable[int]) -> list[dict[str, Any]]:
+        """The stored rows of ``doc_ids`` still in the heap, in order."""
+        rows = self._rows
+        return [rows[doc_id] for doc_id in doc_ids if doc_id in rows]
 
     # -- storage accounting (Figure 4) -----------------------------------------------
 
@@ -232,7 +312,7 @@ class Table:
         """Estimated heap bytes: per-value type storage + row header."""
         total = 0
         stored_columns = [c for c in self._columns.values() if not c.is_virtual]
-        for row in self._rows:
+        for row in self._rows.values():
             total += 3  # row header
             for column in stored_columns:
                 total += column.sql_type.storage_bytes(row.get(column.name))
@@ -244,9 +324,9 @@ class DurableTable(Table):
     :class:`~repro.storage.store.CollectionStore`.
 
     Every committed row lives as one OSON document in the store's WAL/
-    segments; insert/update/delete ride the table's existing listener
-    protocol (an update is persisted as delete + insert, exactly the
-    replace semantics the in-memory indexes already see).  Opening the
+    segments under the row's doc id.  The store write is staged before
+    rows land, and an update is persisted as delete + insert (a new doc
+    id), exactly the replace semantics the indexes see.  Opening the
     same directory again restores the rows through verified recovery —
     quarantined (corrupt) documents are reported on
     ``table.store.recovery`` and simply absent from the heap, never
@@ -261,10 +341,19 @@ class DurableTable(Table):
                  store: Any) -> None:
         super().__init__(name, columns)
         self._store = store
-        self._row_doc_ids: dict[int, int] = {}
-        self._restore_rows()
-        self.on_insert(self._persist_insert)
-        self.on_delete(self._persist_delete)
+        # restore the surviving documents: no constraint re-check, no
+        # listener firing — they were validated and acknowledged before
+        stored_names = {c.name for c in columns if not c.is_virtual}
+        for doc_id, document in store.documents():
+            row = _document_to_row(document)
+            unknown = set(row) - stored_names
+            if unknown:
+                raise EngineError(
+                    f"durable table {name}: recovered document "
+                    f"{doc_id} carries unknown columns {sorted(unknown)}")
+            for column in stored_names - set(row):
+                row[column] = None
+            self._rows[doc_id] = row
 
     @property
     def store(self) -> Any:
@@ -275,98 +364,21 @@ class DurableTable(Table):
         """The last recovery report (None for a freshly created store)."""
         return self._store.recovery
 
-    # -- write-through listeners -------------------------------------------
+    # -- write-through: ids come from the store ----------------------------
 
-    def _persist_insert(self, row: dict) -> None:
-        doc_id = self._store.insert(_row_to_document(row))
-        self._row_doc_ids[id(row)] = doc_id
+    def _assign_ids(self, rows: list[dict[str, Any]]
+                    ) -> tuple[Sequence[int], Any]:
+        # the whole batch is one logical commit (one WAL fsync, one
+        # acknowledgement); a refused write raises before any row lands
+        return self._store.insert_many_async(
+            [_row_to_document(row) for row in rows])
 
-    def insert_many(self, rows: Sequence[dict[str, Any]]) -> int:
-        """Insert a batch as **one** logical commit: every row is
-        validated first, then all of them go to the store in a single
-        group-commit batch (one WAL fsync, one acknowledgement) instead
-        of paying a durability round-trip per row."""
-        rows = list(rows)
-        handle = self.insert_many_pending(rows)
+    def _await(self, handle: Any) -> None:
         if handle is not None:
             self._store.pipeline.wait(handle)
-        return len(rows)
 
-    def insert_many_pending(self, rows: Sequence[dict[str, Any]]) -> Any:
-        """Stage a batch without waiting for durability: every row is
-        validated first (a failure anywhere leaves the table unchanged),
-        the documents go to the store as **one** logical commit, then the
-        rows are applied to the heap and the secondary listeners.
-        Returns the commit handle (``None`` for an empty batch) — the
-        batch is acknowledged only once
-        ``table.store.pipeline.wait(handle)`` returns, and a snapshot
-        holds all of its rows or none of them.
-
-        This is the serving layer's write path: the caller serializes
-        heap mutation (this method) under its write lock but performs
-        the durability wait *outside* it, so many sessions' commits can
-        share one fsync.  Until the handle resolves, the rows are
-        visible to live ``scan()`` but to no snapshot."""
-        prepared = [self._prepare_insert(row) for row in rows]
-        if not prepared:
-            return None
-        doc_ids, handle = self._store.insert_many_async(
-            [_row_to_document(stored) for stored in prepared])
-        persist = self._persist_insert
-        for stored, doc_id in zip(prepared, doc_ids):
-            self._rows.append(stored)
-            self._row_doc_ids[id(stored)] = doc_id
-            for listener in self._insert_listeners:
-                # the batch is already staged; fire only the other
-                # listeners (index maintenance etc.)
-                if listener != persist:
-                    listener(stored)
-        return handle
-
-    def _persist_delete(self, row: dict) -> None:
-        doc_id = self._row_doc_ids.pop(id(row), None)
-        if doc_id is None:
-            raise EngineError(
-                f"row in durable table {self.name} has no backing "
-                f"document (listener ordering broken?)")
+    def _persist_delete(self, doc_id: int) -> None:
         self._store.delete(doc_id)
-
-    # -- restore ------------------------------------------------------------
-
-    def _restore_rows(self) -> None:
-        """Load surviving documents back into the heap (no constraint
-        re-check, no listener firing: these rows were validated and
-        acknowledged before the restart)."""
-        stored_names = {c.name for c in self._columns.values()
-                        if not c.is_virtual}
-        for doc_id, document in self._store.documents():
-            row = _document_to_row(document)
-            unknown = set(row) - stored_names
-            if unknown:
-                raise EngineError(
-                    f"durable table {self.name}: recovered document "
-                    f"{doc_id} carries unknown columns {sorted(unknown)}")
-            for name in stored_names - set(row):
-                row[name] = None
-            self._rows.append(row)
-            self._row_doc_ids[id(row)] = doc_id
-
-    # -- columnar (IMC) access ----------------------------------------------
-
-    def doc_id_rows(self) -> list[tuple[int, dict[str, Any]]]:
-        """(document id, stored row) pairs in heap order — the IMC
-        loader's bridge between heap rows and the durable column
-        segments keyed by document id."""
-        return [(self.doc_id_of(row), row) for row in self._rows]
-
-    def doc_id_of(self, row: dict[str, Any]) -> int:
-        """The backing document id of a heap row object."""
-        doc_id = self._row_doc_ids.get(id(row))
-        if doc_id is None:
-            raise EngineError(
-                f"row in durable table {self.name} has no backing "
-                f"document (listener ordering broken?)")
-        return doc_id
 
     # -- snapshot reads -----------------------------------------------------
 

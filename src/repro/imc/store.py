@@ -63,14 +63,14 @@ class _TableState:
     ``values[name]`` is the exact Python value list, heap-row-aligned —
     the numpy vectors are derived from it, and scans/segments serve it
     directly, so columnar answers are byte-identical to row mode.
-    ``doc_ids`` aligns backing document ids (durable tables only)."""
+    ``doc_ids`` aligns the rows' doc ids."""
 
     __slots__ = ("table", "delta", "doc_ids", "values")
 
     def __init__(self, table: Table) -> None:
         self.table = table
         self.delta = TableDelta()
-        self.doc_ids: Optional[List[int]] = None
+        self.doc_ids: List[int] = []
         self.values: Dict[str, List[Any]] = {}
 
 
@@ -200,15 +200,17 @@ class IMCStore:
         """Coherence listeners + (durable) the checkpoint-lift provider.
         Listener closures check the state is still current so a table
         re-bound under the same name cannot cross-talk."""
-        def on_insert(row: dict, state: _TableState = state) -> None:
+        def on_insert(doc_id: int, row: dict,
+                      state: _TableState = state) -> None:
             with self._lock:
                 if self._tables.get(state.table.name) is state:
-                    state.delta.note_insert(row)
+                    state.delta.note_insert(doc_id, row)
 
-        def on_delete(row: dict, state: _TableState = state) -> None:
+        def on_delete(doc_id: int, row: dict,
+                      state: _TableState = state) -> None:
             with self._lock:
                 if self._tables.get(state.table.name) is state:
-                    state.delta.note_delete(row)
+                    state.delta.note_delete()
 
         table.on_insert(on_insert)
         table.on_delete(on_delete)
@@ -228,7 +230,7 @@ class IMCStore:
                 if self._tables.get(state.table.name) is not state:
                     return None
                 self._refresh(state)
-                if state.doc_ids is None or not state.values:
+                if not state.values:
                     return None
                 out = []
                 for name in state.values:
@@ -255,18 +257,11 @@ class IMCStore:
             delta.clear()
             self._load_columns(state, names)
             return
-        appended = list(delta.appended)
+        appended = [row for _doc_id, row in delta.appended]
+        state.doc_ids.extend(doc_id for doc_id, _row in delta.appended)
         delta.clear()
-        table = state.table
         for name, values in state.values.items():
-            column = table.column(name)
-            if column.expression is not None:
-                fn = column.expression.compiled()
-                values.extend(fn(row) for row in appended)
-            else:
-                values.extend(row.get(name) for row in appended)
-        if state.doc_ids is not None:
-            state.doc_ids.extend(table.doc_id_of(row) for row in appended)
+            values.extend(_computed_values(state.table, name, appended))
         self._rebuild_vectors(state, list(state.values))
 
     def _load_columns(self, state: _TableState,
@@ -274,19 +269,16 @@ class IMCStore:
         """(Re)load columns: pinned durable segments where available
         and verified, extraction from the rows otherwise."""
         table = state.table
+        pairs = table.doc_id_rows()
+        state.doc_ids = [doc_id for doc_id, _ in pairs]
+        rows = [row for _, row in pairs]
         store = _durable_store(table)
         if store is not None:
-            pairs = table.doc_id_rows()
-            state.doc_ids = [doc_id for doc_id, _ in pairs]
-            rows = [row for _, row in pairs]
             entries = {entry["column"]: entry
                        for entry in store.imc_segments()
                        if entry["table"] == table.name}
             dirty = store.imc_dirty_ids()
         else:
-            pairs = []
-            state.doc_ids = None
-            rows = list(table.raw_rows())
             entries = {}
             dirty = set()
         from_segments = [n for n in names if n in entries]
@@ -382,8 +374,7 @@ def _durable_store(table: Table) -> Optional[Any]:
     """The table's segment-capable backing store, if any (sharded
     stores have no per-store segment pinning and stay rebuild-only)."""
     store = getattr(table, "store", None)
-    if (store is not None and hasattr(store, "imc_segments")
-            and hasattr(table, "doc_id_rows")):
+    if store is not None and hasattr(store, "imc_segments"):
         return store
     return None
 

@@ -3,7 +3,7 @@
 Section 3.2.1: the JSON search index keeps "an inverted index for every
 JSON field name and every leaf scalar value (strings are tokenized into a
 set of keywords to support full-text searches)".  Postings map index keys
-to sorted sets of rowids:
+to sets of doc ids:
 
 * ``f:<name>``          — documents containing field ``name`` anywhere;
 * ``p:<path>``          — documents containing the structural path;
@@ -29,7 +29,7 @@ def tokenize_value(text: str) -> list[str]:
 
 
 class InvertedIndex:
-    """Keyword -> sorted rowid postings with incremental add/remove."""
+    """Keyword -> doc id postings with incremental add/remove."""
 
     def __init__(self) -> None:
         self._postings: dict[str, set[int]] = {}
@@ -37,17 +37,17 @@ class InvertedIndex:
 
     # -- maintenance ---------------------------------------------------------
 
-    def add_document(self, rowid: int, value: Any) -> None:
+    def add_document(self, doc_id: int, value: Any) -> None:
         self.indexed_documents += 1
         for key in self._keys_for(value):
-            self._postings.setdefault(key, set()).add(rowid)
+            self._postings.setdefault(key, set()).add(doc_id)
 
-    def remove_document(self, rowid: int, value: Any) -> None:
+    def remove_document(self, doc_id: int, value: Any) -> None:
         self.indexed_documents -= 1
         for key in self._keys_for(value):
             postings = self._postings.get(key)
             if postings is not None:
-                postings.discard(rowid)
+                postings.discard(doc_id)
                 if not postings:
                     del self._postings[key]
 

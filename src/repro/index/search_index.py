@@ -14,14 +14,16 @@ column:
   ``add`` reports nothing, so no ``$DG`` row is written: the cheap
   no-change path Figure 7 isolates.
 
-Maintenance is incremental and, when the table has an IS JSON check
-constraint, piggybacks on the constraint's parse via a hook — the paper's
-low-overhead integration.  Without the constraint, the index parses the
-column itself from an insert listener.
+Postings are keyed by the table's doc id and applied only from the
+table's listeners, so only rows that landed are indexed.  With an IS
+JSON check constraint, the index piggybacks on its parse via a hook —
+the paper's low-overhead integration: the hook stages the parse and the
+insert listener applies it when the row lands.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Iterable, Optional
 
 from repro.core.dataguide.builder import DataGuideBuilder
@@ -47,67 +49,63 @@ class JsonSearchIndex:
         self.inverted = InvertedIndex()
         self.dg_table = DgTable(name)
         self.builder = DataGuideBuilder() if dataguide else None
-        self._rowids: dict[int, int] = {}   # id(row) -> rowid
-        self._rows: dict[int, dict] = {}    # rowid -> row
-        self._next_rowid = 0
+        # (row, parse) staged by the IS JSON hook, in staging order
+        self._staged: deque[tuple[dict, Any]] = deque()
         self._constraint = table.is_json_constraint(column)
         if self._constraint is not None:
             # fuse into IS JSON validation: reuse its parsed value
-            self._constraint.add_hook(self._constraint_hook)
-            self._uses_constraint_hook = True
-        else:
-            table.on_insert(self._insert_listener)
-            self._uses_constraint_hook = False
+            self._constraint.add_hook(self._stage_parse)
+        table.on_insert(self._insert_listener)
         table.on_delete(self._delete_listener)
-        # index any rows already present
-        for row in table.raw_rows():
-            value = decode_json(row.get(column))
-            if value is not None:
-                self._index_row(row, value)
+        for doc_id, row in table.doc_id_rows():  # rows already present
+            self._insert_listener(doc_id, row)
 
     # -- maintenance hooks -------------------------------------------------------
 
-    def _constraint_hook(self, row: dict, parsed: Any) -> None:
-        self._index_row(row, parsed)
+    def _stage_parse(self, row: dict, parsed: Any) -> None:
+        self._staged.append((row, parsed))
 
-    def _insert_listener(self, row: dict) -> None:
-        value = decode_json(row.get(self.column))
-        if value is not None:
-            self._index_row(row, value)
+    def _parsed(self, row: dict) -> Any:
+        """The parse staged for ``row`` (ones staged before it are for
+        rows that never landed: dropped), else a fresh parse."""
+        staged = self._staged
+        while staged:
+            candidate, parsed = staged.popleft()
+            if candidate is row:
+                return parsed
+        return decode_json(row.get(self.column))
 
-    def _index_row(self, row: dict, parsed: Any) -> None:
-        rowid = self._next_rowid
-        self._next_rowid += 1
-        self._rowids[id(row)] = rowid
-        self._rows[rowid] = row
-        self.inverted.add_document(rowid, parsed)
+    def _insert_listener(self, doc_id: int, row: dict) -> None:
+        if row.get(self.column) is not None:
+            self._index(doc_id, self._parsed(row))
+
+    def _index(self, doc_id: int, parsed: Any) -> None:
+        self.inverted.add_document(doc_id, parsed)
         if self.builder is not None:
             for key in self.builder.add(parsed):
                 self.dg_table.upsert(self.builder.entry(key))
 
-    def _delete_listener(self, row: dict) -> None:
-        rowid = self._rowids.pop(id(row), None)
-        if rowid is None:
-            return
-        self._rows.pop(rowid, None)
+    def _delete_listener(self, doc_id: int, row: dict) -> None:
         value = decode_json(row.get(self.column))
         if value is not None:
-            self.inverted.remove_document(rowid, value)
+            self.inverted.remove_document(doc_id, value)
         # NOTE: the persistent DataGuide is additive — paths are not
         # removed on delete (section 3.4)
 
     def detach(self) -> None:
         """Unhook from the table (DROP INDEX)."""
-        if self._uses_constraint_hook and self._constraint is not None:
+        if self._constraint is not None:
             try:
-                self._constraint.remove_hook(self._constraint_hook)
+                self._constraint.remove_hook(self._stage_parse)
             except ValueError:  # lint: ignore[silent-except] hook already detached; DROP INDEX is idempotent
                 pass
+        self.table.remove_listener(self._insert_listener)
+        self.table.remove_listener(self._delete_listener)
 
     # -- search ----------------------------------------------------------------------
 
-    def rows_for(self, rowids: Iterable[int]) -> list[dict]:
-        return [self._rows[rid] for rid in sorted(rowids) if rid in self._rows]
+    def rows_for(self, doc_ids: Iterable[int]) -> list[dict]:
+        return self.table.rows_by_id(sorted(doc_ids))
 
     def docs_with_path(self, path: str) -> list[dict]:
         """Index-accelerated JSON_EXISTS on a structural path."""

@@ -40,13 +40,13 @@ from __future__ import annotations
 
 from concurrent.futures import CancelledError as FuturesCancelledError
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.engine.catalog import Database
 from repro.engine.query import Query
 from repro.engine.scatter import ScatterPolicy
 from repro.engine.sql.parser import compile_sql
-from repro.engine.table import DurableTable
+from repro.engine.table import DurableTable, Table
 from repro.errors import Cancelled, CatalogError, QueryTimeout, SessionClosed
 from repro.obs import locks as _locks
 from repro.obs import metrics as _metrics
@@ -444,40 +444,29 @@ class Session:
         """Durably insert one row; returns after the row's group-commit
         batch is fsynced and published (so this session — and any new
         snapshot — sees it)."""
-        self._apply_write(table_name, lambda table: [row], timeout_ms)
+        self.insert_many(table_name, [row], timeout_ms)
 
     def insert_many(self, table_name: str, rows: Sequence[dict],
                     timeout_ms: Optional[float] = None) -> None:
-        """Durably insert a batch as one commit (single fsync)."""
+        """Insert a batch all-or-nothing; on a durable table as one
+        commit (single fsync)."""
         rows = list(rows)
-        if rows:
-            self._apply_write(table_name, lambda table: rows, timeout_ms)
-
-    def _apply_write(self, table_name: str,
-                     rows_for: Callable[[DurableTable], Sequence[dict]],
-                     timeout_ms: Optional[float]) -> None:
+        if not rows:
+            return
         self._live()
         _WRITES.inc()
         table = self._server.db.table(table_name)
-        if not isinstance(table, DurableTable):
-            # transient tables have no durability to wait for; mutate
-            # them on the write lane for the same serialization
-            future = self._server.writes.submit(
-                lambda: [table.insert(row) for row in rows_for(table)])
-            self._wait_write(future, timeout_ms)
-            return
         future = self._server.writes.submit(
-            lambda: self._server.durable_insert(table, rows_for(table)))
-        self._wait_write(future, timeout_ms)
-        self._advance_pin(table_name, table)
+            lambda: self._server.durable_insert(table, rows))
+        if self._wait_write(future, timeout_ms) is not None:
+            self._advance_pin(table_name, table)
 
     @staticmethod
-    def _wait_write(future: Future, timeout_ms: Optional[float]) -> None:
+    def _wait_write(future: Future, timeout_ms: Optional[float]) -> Any:
         if timeout_ms is None:
-            future.result()
-            return
+            return future.result()
         try:
-            future.result(timeout=timeout_ms / 1000.0)
+            return future.result(timeout=timeout_ms / 1000.0)
         except TimeoutError:
             # the write itself still lands (durability is not revoked);
             # only this acknowledgement wait gave up
@@ -548,11 +537,11 @@ class Server:
             raise SessionClosed("server is closed")
         return Session(self)
 
-    def durable_insert(self, table: DurableTable,
-                       rows: Sequence[dict]) -> int:
+    def durable_insert(self, table: Table, rows: Sequence[dict]) -> Any:
         """Write-lane body: stage the rows' heap/index mutation as one
         commit under the write lock, then wait for durability with **no
-        lock held**.
+        lock held**.  Returns the acknowledged commit handle, or None
+        for a table without a store (nothing to wait for).
         Concurrent write workers therefore overlap their fsync waits,
         and the commit pipeline's leader folds them into one batch."""
         with _trace.span("serve.write", table=table.name,
@@ -561,7 +550,7 @@ class Server:
                 handle = table.insert_many_pending(rows)
             if handle is not None:
                 table.store.pipeline.wait(handle)
-        return len(rows)
+        return handle
 
     def close(self) -> None:
         """Stop admitting, drain both lanes, and shut them down.  The

@@ -10,7 +10,7 @@ below runs at 100 and at 1000 rows and must make the same number of
 
 import pytest
 
-from repro.engine import Column, Database, NUMBER, VARCHAR2, expr
+from repro.engine import Column, Database, NUMBER, Query, VARCHAR2, expr
 from repro.engine.sql import execute_sql
 from repro.engine.table import DurableTable
 from repro.imc import IMCStore
@@ -64,6 +64,19 @@ def imc_populate(n):
     return lambda: IMCStore().populate(table, ["id", "name_len"])
 
 
+def group_per_row(n):
+    """One group per row: each new group key makes an aggregate state,
+    and every state must step the closure its aggregate took once."""
+    rows = [{"k": i, "v": i} for i in range(n)]
+
+    def run():
+        for mode in ("row", "morsel"):
+            out = Query(rows).mode(mode).group_by(
+                ["k"], total=expr.SUM(expr.Col("v"))).rows()
+            assert len(out) == n
+    return run
+
+
 def durable_reopen(n, tmp_path):
     directory = str(tmp_path / f"store-{n}")
     store = CollectionStore.create(directory)
@@ -88,7 +101,7 @@ def durable_reopen(n, tmp_path):
 
 
 @pytest.mark.parametrize("scenario", [order_by_lag, virtual_column_scan,
-                                      imc_populate])
+                                      imc_populate, group_per_row])
 def test_compile_calls_do_not_grow_with_rows(scenario):
     small, large = (compile_calls(scenario(n)) for n in SIZES)
     assert small > 0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine import Column, Database
 from repro.engine.table import DurableTable, _document_to_row, _row_to_document
-from repro.errors import EngineError
+from repro.errors import EngineError, StorageError
 from repro.storage import MemoryFileSystem
 
 
@@ -142,6 +142,49 @@ class TestWriteThrough:
         table.insert({"ID": 1})
         table.checkpoint()
         assert len(table.store.storage_files()) == 2
+
+
+class TestHeapKeyedByStore:
+    """The heap is keyed by the store's doc ids, and a row lands only
+    after its store write was accepted."""
+
+    def test_failed_store_write_leaves_heap_unchanged(self, fs):
+        _, table = make_db(fs)
+        table.insert({"ID": 1})
+        table.store.close()
+        with pytest.raises(StorageError):
+            table.insert({"ID": 2})
+        with pytest.raises(StorageError):
+            table.insert_many([{"ID": 3}, {"ID": 4}])
+        assert [r["ID"] for r in table.scan()] == [1]
+        assert table.delete(lambda r: r["ID"] == 2) == 0
+
+    def test_heap_ids_are_store_ids(self, fs):
+        _, table = make_db(fs)
+        table.insert_many([{"ID": 1}, {"ID": 2}, {"ID": 3}])
+        table.update(lambda r: r["ID"] == 2, {"NAME": "bob"})
+        table.delete(lambda r: r["ID"] == 3)
+        assert table.doc_id_rows() == [
+            (doc_id, _document_to_row(document))
+            for doc_id, document in table.store.documents()]
+        assert [r["ID"] for r in table.scan()] == [1, 2]
+
+    def test_failed_update_write_drops_only_the_deleted_row(
+            self, fs, monkeypatch):
+        """A durable update persists as delete + insert; when the insert
+        is refused, the heap follows the store: the row is gone."""
+        _, table = make_db(fs)
+        table.insert_many([{"ID": 1}, {"ID": 2}])
+
+        def refused(documents):
+            raise StorageError("injected: insert refused")
+
+        monkeypatch.setattr(table.store, "insert_many_async", refused)
+        with pytest.raises(StorageError):
+            table.update(lambda r: r["ID"] == 1, {"NAME": "x"})
+        assert [r["ID"] for r in table.scan()] == [2]
+        assert [doc_id for doc_id, _row in table.doc_id_rows()] == [
+            doc_id for doc_id, _document in table.store.documents()]
 
 
 class TestDurableSurvivesCrash:

@@ -13,7 +13,7 @@ from repro.core import oson
 from repro.engine import Column, Database, NUMBER, Query, Table, VARCHAR2, expr
 from repro.engine.plan import IMCScanNode, _collect_columns
 from repro.engine.sql import compile_sql, execute_sql
-from repro.engine.types import BLOB
+from repro.engine.types import BLOB, CLOB
 from repro.imc import IMCStore
 from repro.obs import metrics as obs_metrics
 
@@ -121,7 +121,7 @@ class TestParity:
                           Column("dept", VARCHAR2(10))])
         t.add_column(Column("name_len", NUMBER,
                             expression=expr.LENGTH(expr.Col("name"))))
-        for row in bound_table().raw_rows():
+        for _doc_id, row in bound_table().doc_id_rows():
             t.insert(dict(row))
         return build(t).rows()
 
@@ -178,12 +178,68 @@ class TestColumnWalker:
         assert out == {"a", "b", "c", "d", "e"}
 
     def test_bails_on_unknown_nodes(self):
-        # NVL is a node shape the walker does not resolve — it must
-        # refuse, not guess
-        assert not _collect_columns(expr.NVL(expr.Col("a"), 0), set())
+        # a node shape the walker does not resolve — it must refuse,
+        # not guess
+        assert not _collect_columns(Opaque(expr.Col("a")), set())
 
     def test_unknown_node_in_plan_disables_rule(self):
-        q = Query(bound_table()).select(
-            expr.NVL(expr.Col("name"), "?").as_("n"))
+        q = Query(bound_table()).select(Opaque(expr.Col("name")).as_("n"))
         assert not isinstance(head(q), IMCScanNode)
         assert q.rows()[0] == {"n": "ann"}
+
+    def test_resolves_nvl_and_sql_json_operators(self):
+        out = set()
+        assert _collect_columns(expr.NVL(expr.Col("a"), expr.Col("b")), out)
+        assert _collect_columns(
+            expr.JsonTextContainsExpr("j", "$.name", "red"), out)
+        assert out == {"a", "b", "j"}
+
+
+class Opaque(expr.Expression):
+    """A node shape :func:`_collect_columns` does not know."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def compile(self):
+        return self.inner.compiled()
+
+    def sql(self):
+        return f"OPAQUE({self.inner.sql()})"
+
+
+def json_table(bind):
+    t = Table("docs", [Column("id", NUMBER), Column("jdoc", CLOB)])
+    t.insert_many([{"id": i, "jdoc": f'{{"name": "{name}"}}'}
+                   for i, name in enumerate(["red phone", "blue tablet",
+                                             "red tablet"])])
+    if bind:
+        IMCStore().bind(t)
+    return t
+
+
+class TestNarrowedShapes:
+    """NVL and JSON_TEXTCONTAINS plan an IMC scan, with the rows the
+    unbound table gives."""
+
+    def test_nvl_projection(self):
+        def build(t):
+            return Query(t).select(
+                "id", expr.NVL(expr.Col("name"), "?").as_("n"))
+        unbound = Table("emp", bound_table().columns)
+        unbound.insert_many(row for _doc_id, row in bound_table().doc_id_rows())
+        q = build(bound_table())
+        assert isinstance(head(q), IMCScanNode)
+        assert head(q).columns == ["id", "name"]
+        assert q.rows() == build(unbound).rows()
+        assert q.rows()[2] == {"id": 3, "n": "?"}
+
+    def test_json_textcontains_projection(self):
+        def build(t):
+            return Query(t).select("id", expr.JsonTextContainsExpr(
+                "jdoc", "$.name", "red").as_("hit"))
+        q = build(json_table(bind=True))
+        assert isinstance(head(q), IMCScanNode)
+        assert head(q).columns == ["id", "jdoc"]
+        assert q.rows() == build(json_table(bind=False)).rows()
+        assert [r["hit"] for r in q.rows()] == [True, False, True]

@@ -155,7 +155,7 @@ class TestVirtualColumns:
         t = people()
         t.add_column(Column("v", NUMBER, expression=expr.Literal(1)))
         t.insert({"id": 1})
-        assert "v" not in t.raw_rows()[0]
+        assert "v" not in t.doc_id_rows()[0][1]
 
     def test_virtual_excluded_from_storage_bytes(self):
         t = people()
@@ -172,26 +172,84 @@ class TestListeners:
     def test_insert_listener_fires(self):
         t = people()
         seen = []
-        t.on_insert(seen.append)
+        t.on_insert(lambda doc_id, row: seen.append((doc_id, row)))
         t.insert({"id": 1})
-        assert len(seen) == 1 and seen[0]["id"] == 1
+        assert len(seen) == 1 and seen[0][1]["id"] == 1
+        assert t.doc_id_rows() == seen
 
     def test_delete_listener_fires(self):
         t = people()
         seen = []
-        t.on_delete(seen.append)
+        t.on_delete(lambda doc_id, row: seen.append((doc_id, row)))
         t.insert({"id": 1})
+        (pair,) = t.doc_id_rows()
         t.delete(lambda r: True)
-        assert len(seen) == 1
+        assert seen == [pair]
 
     def test_update_fires_delete_then_insert(self):
         t = people()
         log = []
-        t.on_insert(lambda r: log.append(("ins", r["id"])))
-        t.on_delete(lambda r: log.append(("del", r["id"])))
+        t.on_insert(lambda doc_id, r: log.append(("ins", doc_id, r["id"])))
+        t.on_delete(lambda doc_id, r: log.append(("del", doc_id, r["id"])))
         t.insert({"id": 1})
         t.update(lambda r: True, {"age": 9})
-        assert log == [("ins", 1), ("del", 1), ("ins", 1)]
+        # replace semantics: the new row lands under a new doc id
+        assert log == [("ins", 0, 1), ("del", 0, 1), ("ins", 1, 1)]
+        assert [doc_id for doc_id, _row in t.doc_id_rows()] == [1]
+
+    def test_removed_listener_stops_firing(self):
+        t = people()
+        seen = []
+
+        def listener(doc_id, row):
+            seen.append(doc_id)
+
+        t.on_insert(listener)
+        t.on_delete(listener)
+        t.remove_listener(listener)
+        t.insert({"id": 1})
+        t.delete(lambda r: True)
+        assert seen == []
+
+
+class TestHeapIdentity:
+    def test_update_keeps_heap_position(self):
+        t = people()
+        t.insert_many([{"id": i} for i in range(4)])
+        t.update(lambda r: r["id"] == 1, {"age": 5})
+        assert [r["id"] for r in t.scan()] == [0, 1, 2, 3]
+        assert [doc_id for doc_id, _row in t.doc_id_rows()] == [0, 4, 2, 3]
+
+    def test_failed_batch_assigns_no_ids(self):
+        t = people()
+        t.add_constraint(CheckConstraint("pos", lambda r: r["id"] > 0))
+        with pytest.raises(ConstraintViolation):
+            t.insert_many([{"id": 1}, {"id": -1}])
+        assert len(t) == 0
+        t.insert({"id": 2})
+        assert [doc_id for doc_id, _row in t.doc_id_rows()] == [0]
+
+    def test_failed_update_changes_nothing(self):
+        # the first row's new value passes, the second's fails: every
+        # candidate is checked before the first row is replaced
+        t = people()
+        t.add_constraint(CheckConstraint("small",
+                                         lambda r: r["id"] + r["age"] < 11))
+        t.insert_many([{"id": 1, "age": 1}, {"id": 2, "age": 8}])
+        with pytest.raises(ConstraintViolation):
+            t.update(lambda r: True, {"age": 9})
+        assert [(r["id"], r["age"]) for r in t.scan()] == [(1, 1), (2, 8)]
+
+    def test_transient_pending_batch_has_no_handle(self):
+        t = people()
+        assert t.insert_many_pending([{"id": 1}]) is None
+        assert len(t) == 1
+
+    def test_rows_by_id_skips_missing(self):
+        t = people()
+        t.insert_many([{"id": 1}, {"id": 2}])
+        t.delete(lambda r: r["id"] == 1)
+        assert [r["id"] for r in t.rows_by_id([0, 1, 7])] == [2]
 
 
 class TestStorageAccounting:

@@ -43,12 +43,12 @@ def values(db, path):
 class TestModes:
     def test_text_mode_handles_are_text(self):
         db, table = collection()
-        assert [loads(row["jdoc"]) for row in table.raw_rows()] == DOCS
+        assert [loads(row["jdoc"]) for _doc_id, row in table.doc_id_rows()] == DOCS
         assert values(db, "$.num") == list(range(10))
 
     def test_oson_mode_handles_are_oson(self):
         db, table = collection(binary=True)
-        assert [oson.decode(row["jdoc"]) for row in table.raw_rows()] == DOCS
+        assert [oson.decode(row["jdoc"]) for _doc_id, row in table.doc_id_rows()] == DOCS
         assert values(db, "$.num") == list(range(10))
 
     def test_modes_agree_on_query_results(self):

@@ -102,9 +102,9 @@ class TestColdStart:
             column = table.column(name)
             if column.expression is not None:
                 expected = [column.expression.compiled()(r)
-                            for r in table.raw_rows()]
+                            for _doc_id, r in table.doc_id_rows()]
             else:
-                expected = [r.get(name) for r in table.raw_rows()]
+                expected = [r.get(name) for _doc_id, r in table.doc_id_rows()]
             assert imc.column("emp", name).to_list() == expected, name
         store.close()
 

@@ -76,8 +76,8 @@ def row_mode_column(table, name):
     """What row-at-a-time evaluation serves for one column right now."""
     column = table.column(name)
     if column.expression is not None:
-        return [column.expression.compiled()(r) for r in table.raw_rows()]
-    return [r.get(name) for r in table.raw_rows()]
+        return [column.expression.compiled()(r) for _doc_id, r in table.doc_id_rows()]
+    return [r.get(name) for _doc_id, r in table.doc_id_rows()]
 
 
 class TestCoherence:

@@ -29,8 +29,10 @@ from repro.core.counters import (
     set_caches_enabled,
 )
 from repro.engine import Column, Database, NUMBER, Query
+from repro.engine.constraints import IsJsonConstraint
 from repro.engine.types import BLOB
 from repro.engine.view import JsonTableView
+from repro.errors import ConstraintViolation
 from repro.obs import locks
 from repro.sqljson.json_table import ColumnDef, JsonTable, NestedPath
 from repro.storage.files import MemoryFileSystem
@@ -59,6 +61,14 @@ def _store(shards=None):
     return db, table, view
 
 
+def _indexed_store(shards=None):
+    """:func:`_store` with an IS JSON constraint and a search index on
+    ``jdoc``, so every DML also drives the hook and the index."""
+    db, table, view = _store(shards)
+    table.add_constraint(IsJsonConstraint("jdoc"))
+    return table, view, db.create_json_search_index("po_idx", "po", "jdoc")
+
+
 def _sorted(rows):
     return sorted(rows, key=lambda row: (row["did"], row["n"] is None,
                                          row["n"]))
@@ -73,15 +83,18 @@ _DOCUMENTS = st.fixed_dictionaries({
 
 
 class CachedEqualsUncached(RuleBasedStateMachine):
-    """One DML stream applied to an unsharded and a 4-shard OSON table;
-    every route, cached and uncached, must show the model's rows."""
+    """One DML stream applied to an unsharded and a 4-shard OSON table,
+    each with IS JSON and a search index; every route, cached and
+    uncached, must show the model's rows, and each index exactly the
+    model's documents."""
 
     def __init__(self):
         super().__init__()
         self.model = {}
         self.next_did = 0
-        _db, self.table, self.view = _store()
-        _db, self.sharded, self.sharded_view = _store(shards=4)
+        self.table, self.view, self.index = _indexed_store()
+        self.sharded, self.sharded_view, self.sharded_index = \
+            _indexed_store(shards=4)
 
     def teardown(self):
         self.table.close()
@@ -96,6 +109,18 @@ class CachedEqualsUncached(RuleBasedStateMachine):
         for table in self._each_table():
             table.insert({"did": did, "jdoc": oson.encode(document)})
         self.model[did] = document
+
+    @rule(documents=st.lists(_DOCUMENTS, max_size=3))
+    def insert_many_rejected(self, documents):
+        """The batch's last image is no OSON document: IS JSON rejects
+        it, and no row of the batch may land — in the heap or the index."""
+        rows = [{"did": self.next_did + i, "jdoc": oson.encode(document)}
+                for i, document in enumerate(documents)]
+        rows.append({"did": self.next_did + len(rows),
+                     "jdoc": b"OSON" + b"\xff" * 6})
+        for table in self._each_table():
+            with pytest.raises(ConstraintViolation):
+                table.insert_many(rows)
 
     @precondition(lambda self: self.model)
     @rule(data=st.data(), document=_DOCUMENTS)
@@ -133,6 +158,13 @@ class CachedEqualsUncached(RuleBasedStateMachine):
                 self.table.snapshot_scan())),
             "sharded": Query(self.sharded_view).rows(),
         }
+
+    @invariant()
+    def each_index_holds_the_model(self):
+        for index in (self.index, self.sharded_index):
+            assert sorted(row["did"] for row in
+                          index.docs_with_path("$.sku")) == sorted(self.model)
+            assert index.inverted.indexed_documents == len(self.model)
 
     @invariant()
     def every_route_shows_the_model(self):

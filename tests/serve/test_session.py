@@ -10,11 +10,12 @@ import weakref
 import pytest
 
 from repro.engine.catalog import Database
+from repro.engine.constraints import IsJsonConstraint
 from repro.engine import expr
 from repro.engine.query import Query
 from repro.engine.table import Column
-from repro.errors import (Cancelled, Overloaded, QueryTimeout,
-                          SessionClosed)
+from repro.errors import (Cancelled, ConstraintViolation, Overloaded,
+                          QueryTimeout, SessionClosed)
 from repro.obs import metrics as obs_metrics
 from repro.serve import CancelToken, Server
 from repro.serve.session import _SnapshotView
@@ -153,6 +154,21 @@ class TestAtomicBatches:
         table.store.pipeline.wait(handle)
         assert len(list(table.snapshot_scan())) == 5
         table.close()
+
+    def test_transient_batch_is_all_or_nothing(self):
+        db = Database()
+        table = db.create_table(
+            "docs", [Column.of("id", "number"), Column.of("jdoc", "clob")])
+        table.add_constraint(IsJsonConstraint("jdoc"))
+        with Server(db, read_workers=1, write_workers=1) as server:
+            with server.session() as session:
+                with pytest.raises(ConstraintViolation):
+                    session.insert_many("docs", [
+                        {"id": 1, "jdoc": '{"a": 1}'},
+                        {"id": 2, "jdoc": '{"a":'}])
+                assert ids(session.execute("SELECT id FROM docs")) == []
+                session.insert_many("docs", [{"id": 3, "jdoc": "[]"}])
+                assert ids(session.execute("SELECT id FROM docs")) == [3]
 
 
 class TestDeadlinesAndCancellation:
