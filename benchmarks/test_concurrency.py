@@ -7,8 +7,9 @@ system charges a fixed latency per ``sync`` (the one hardware cost that
 dominates real commit paths and that an in-memory file system otherwise
 hides).  Modes:
 
-* **group** — the shipped configuration: committer thread, unbounded
-  batch (the leader drains every staged commit per fsync);
+* **group** — the shipped configuration: unbounded batch, led by one
+  of the waiting clients (the leader drains every staged commit per
+  fsync);
 * **baseline** — ``pipeline.set_batch_limit(1)``: same threads, same
   store, but one fsync per commit (the pre-group-commit protocol).
 
@@ -129,7 +130,6 @@ def run_commit_load(clients, batch_limit=None):
     pipeline = store.pipeline
     if batch_limit is not None:
         pipeline.set_batch_limit(batch_limit)
-    pipeline.start_thread()
     latencies = [[] for _ in range(clients)]
     start_gate = threading.Barrier(clients + 1)
 
@@ -249,7 +249,6 @@ class TestGroupCommitThroughput:
         commit survives a reopen."""
         fs = SlowSyncFileSystem(latency=0.0005)
         store = CollectionStore.create("db", fs=fs)
-        store.pipeline.start_thread()
         inserted = []
 
         def client(base):

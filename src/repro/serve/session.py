@@ -500,9 +500,11 @@ class Session:
 class Server:
     """The concurrent front-end over one embedded database.
 
-    Owns the two admission lanes and the write lock, and switches every
-    durable table's commit pipeline into threaded (leader-upstairs)
-    mode so group commit batches across sessions."""
+    Owns the two admission lanes and the write lock; it never changes
+    the tables it serves.  Group commit batches across sessions because
+    the write workers wait for durability outside the write lock: the
+    first to find a table's pipeline idle leads the batch on its own
+    thread, and the others' commits ride along in it."""
 
     def __init__(self, db: Database, read_workers: int = 4,
                  write_workers: int = 4, queue_limit: int = 64,
@@ -523,10 +525,6 @@ class Server:
         # durability wait happens OUTSIDE it (see durable_insert)
         self._write_lock = _locks.make_lock("serve.write")
         self._closed = False
-        for name in db.tables():
-            table = db.table(name)
-            if isinstance(table, DurableTable):
-                table.store.pipeline.start_thread()
 
     @property
     def closed(self) -> bool:

@@ -20,25 +20,25 @@ the WAL entirely out of the store lock:
   be lost, and a crash inside a batch durably keeps at most a prefix
   of it (all-or-prefix).
 
-Two driving modes share the same batching logic:
+There is one driving mode: the first waiter to find the pipeline idle
+elects itself leader and commits the batch on its own thread.  A
+single-threaded caller therefore behaves exactly like a per-commit-fsync
+store — same I/O boundaries in the same order, which is what keeps the
+deterministic fault sweep meaningful — while concurrent waiters form
+batches naturally: whoever arrives while a batch is in flight stages
+behind it, and the next idle waiter leads everything staged so far.
+The serving layer's write workers are such waiters, so a served batch
+is led on a write-lane worker thread with no product lock held.
 
-* **inline** (the default): the first waiter to find the pipeline idle
-  elects itself leader and commits on its own thread.  Single-threaded
-  callers therefore behave exactly like the old per-commit-fsync store
-  — same I/O boundaries in the same order, which is what keeps the
-  deterministic fault sweep meaningful — while concurrent callers form
-  batches naturally under load;
-* **committer thread** (:meth:`CommitPipeline.start_thread`): a
-  dedicated daemon thread is the permanent leader, which is what the
-  serving layer uses so writer sessions never do I/O themselves.
-
-Failure contract: any exception out of the batch I/O (a real
-``OSError`` or the fault harness's ``SimulatedCrash``) *poisons* the
-pipeline — the in-memory writer state can no longer be trusted to
-match the log, so every staged and future commit fails with
-:class:`~repro.errors.StorageError`, and the original exception is
-re-raised on the leader's thread (preserving ``SimulatedCrash``
-propagation for the fault harness).
+Failure contract, one rule for every waiter: an ``Exception`` out of the
+batch I/O (a real ``OSError``) *poisons* the pipeline — the in-memory
+writer state can no longer be trusted to match the log — and every
+commit in that batch, the leader's included, raises
+:class:`~repro.errors.StorageError` ("group commit failed") chained from
+it; every later commit raises ``StorageError`` ("commit pipeline
+failed").  A ``BaseException`` that is not an ``Exception`` (the fault
+harness's ``SimulatedCrash``) poisons the pipeline the same way but
+reaches the leader raw, so the harness sees the crash it injected.
 """
 
 from __future__ import annotations
@@ -112,20 +112,8 @@ class CommitPipeline:
         self._stopped = False            # guarded-by: _cond
         self._failed: Optional[BaseException] = None  # guarded-by: _cond
         self._batch_limit: Optional[int] = None  # guarded-by: _cond
-        self._thread: Optional[threading.Thread] = None  # guarded-by: _cond
 
     # -- configuration -----------------------------------------------------
-
-    def start_thread(self) -> None:
-        """Switch to dedicated-committer mode: a daemon thread becomes
-        the permanent leader and callers only ever wait."""
-        with self._cond:
-            if self._thread is not None:
-                return
-            thread = threading.Thread(target=self._run,
-                                      name="repro-committer", daemon=True)
-            self._thread = thread
-        thread.start()
 
     def set_batch_limit(self, limit: Optional[int]) -> Optional[int]:
         """Cap commits per fsync (``1`` reproduces the per-commit-fsync
@@ -157,10 +145,12 @@ class CommitPipeline:
     def wait(self, commit: LogicalCommit) -> None:
         """Block until ``commit`` is durable (the acknowledgement).
 
-        In inline mode the waiter elects itself leader whenever the
-        pipeline is idle, so a single-threaded caller commits its own
-        batch immediately and concurrent callers piggyback on whoever
-        got there first.
+        The waiter elects itself leader whenever the pipeline is idle, so
+        a single-threaded caller commits its own batch immediately and
+        concurrent callers piggyback on whoever got there first.  A
+        leader whose batch I/O fails reports its own commit like every
+        other waiter in the batch: ``StorageError`` chained from the
+        failure (a ``SimulatedCrash`` propagates raw).
         """
         started = _trace.monotonic()
         while True:
@@ -169,9 +159,9 @@ class CommitPipeline:
                 if commit.done:
                     break
                 if self._failed is not None or self._stopped:
-                    self._raise_pipeline_down(commit)
-                if (self._thread is None and not self._committing
-                        and not self._paused and self._pending):
+                    self._raise_pipeline_down()
+                if (not self._committing and not self._paused
+                        and self._pending):
                     lead_now = True
                 else:
                     self._cond.wait()
@@ -179,16 +169,15 @@ class CommitPipeline:
                         break
                     continue
             if lead_now:
-                self._lead()
+                try:
+                    self._lead()
+                except Exception as exc:  # lint: ignore[broad-except] the batch I/O failure that poisoned the pipeline is reported as StorageError on the next pass, exactly as to the followers; anything else propagates
+                    if exc is not self._failed:
+                        raise
         if commit.error is not None:
             raise StorageError(
                 f"group commit failed: {commit.error}") from commit.error
         _COMMIT_WAIT_MS.observe((_trace.monotonic() - started) * 1000.0)
-
-    def commit(self, commit: LogicalCommit) -> None:
-        """``submit`` + ``wait`` in one call."""
-        self.submit(commit)
-        self.wait(commit)
 
     # -- leader election and batch I/O -------------------------------------
 
@@ -210,7 +199,7 @@ class CommitPipeline:
             self._committing = True
         try:
             self._write_batch(batch)
-        except BaseException as exc:  # lint: ignore[broad-except] poison-then-propagate: SimulatedCrash (BaseException) must reach the fault harness after waiters are failed
+        except BaseException as exc:  # lint: ignore[broad-except] poison-then-propagate: wait turns an Exception into StorageError, and SimulatedCrash (BaseException) must reach the fault harness after waiters are failed
             with self._cond:
                 self._failed = exc
                 self._committing = False
@@ -242,21 +231,6 @@ class CommitPipeline:
         _GROUP_COMMITS.inc()
         _BATCH_COMMITS.observe(len(batch))
         _BATCH_OPS.observe(total_ops)
-
-    def _run(self) -> None:
-        """Dedicated-committer loop (thread mode)."""
-        while True:
-            with self._cond:
-                while (not self._pending or self._paused
-                       or self._committing) and not self._stopped \
-                        and self._failed is None:
-                    self._cond.wait()
-                if self._stopped or self._failed is not None:
-                    return
-            try:
-                self._lead()
-            except BaseException:  # lint: ignore[broad-except] the pipeline is already poisoned and every waiter failed; the committer thread just exits
-                return
 
     # -- admin protocol (checkpoint / compact / close) ---------------------
 
@@ -304,11 +278,7 @@ class CommitPipeline:
             self.pause()
         with self._cond:
             self._stopped = True
-            thread = self._thread
-            self._thread = None
             self._cond.notify_all()
-        if thread is not None:
-            thread.join()
 
     # -- state helpers -----------------------------------------------------
 
@@ -323,10 +293,7 @@ class CommitPipeline:
         if self._stopped:
             raise StorageError("commit pipeline is shut down")
 
-    def _raise_pipeline_down(self, commit: LogicalCommit) -> None:
-        if commit.error is not None:
-            raise StorageError(
-                f"group commit failed: {commit.error}") from commit.error
+    def _raise_pipeline_down(self) -> None:
         if self._failed is not None:
             raise StorageError(
                 f"commit pipeline failed: {self._failed}") from self._failed

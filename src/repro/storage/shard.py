@@ -20,11 +20,12 @@ Design points:
   ``global = local * shard_count + shard_index``.  Routing a DML or
   point read is pure arithmetic — no directory, no lookup table to keep
   crash-consistent.
-* **Parallel group commit.**  Each shard keeps its own
+* **Per-shard group commit.**  Each shard keeps its own
   :class:`~repro.storage.commit.CommitPipeline`; DML fans out through
   the existing ``insert_async``/group-commit protocol, so commits on
-  different shards fsync **in parallel** (the serving layer's threaded
-  committer mode runs one committer per shard).
+  different shards batch and fsync independently, each batch led by one
+  of its own waiters.  A batch insert touching several shards waits on
+  them in turn, so its waiter leads those fsyncs one after another.
 * **MVCC composition.**  ``snapshot()`` composes per-shard
   ``StoreSnapshot``s — each captured *with* a DataGuide that covers it
   (:meth:`~repro.storage.store.CollectionStore.snapshot_with_guide`) —
@@ -144,17 +145,14 @@ class MultiShardHandle:
 
 class ShardPipelines:
     """The router's commit-pipeline facade: the serving layer drives it
-    exactly like a single store's pipeline (``start_thread`` /
-    ``wait(handle)`` / ``set_batch_limit``), and the facade fans out to
-    the per-shard pipelines — one committer thread, one group-commit
-    batch stream, one WAL fsync lane *per shard*."""
+    exactly like a single store's pipeline (``wait(handle)`` /
+    ``set_batch_limit``), and the facade fans out to the per-shard
+    pipelines — one group-commit batch stream, one WAL fsync lane *per
+    shard*.  ``wait`` on a multi-shard handle waits on each shard's part
+    in turn, leading that shard's batch whenever it is idle."""
 
     def __init__(self, shards: Sequence[CollectionStore]) -> None:
         self._pipelines = [shard.pipeline for shard in shards]
-
-    def start_thread(self) -> None:
-        for pipeline in self._pipelines:
-            pipeline.start_thread()
 
     def wait(self, handle: Any) -> None:
         if isinstance(handle, MultiShardHandle):
@@ -555,8 +553,8 @@ class ShardedStore:
             self, documents: Any
     ) -> Tuple[List[int], Optional[MultiShardHandle]]:
         """Stage a batch: documents split by route, one logical commit
-        **per shard touched** (so the per-shard WAL fsyncs overlap when
-        the committer threads run).  Returns global ids in input order.
+        **per shard touched**, each riding that shard's own group commit.
+        Returns global ids in input order.
         """
         documents = list(documents)
         if not documents:

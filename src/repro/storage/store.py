@@ -244,8 +244,8 @@ class CollectionStore:
 
     @property
     def pipeline(self) -> CommitPipeline:
-        """The group-commit pipeline (serving layer wires its committer
-        thread and batch limits through this)."""
+        """The group-commit pipeline (waits and batch limits go through
+        this)."""
         return self._pipeline
 
     @property

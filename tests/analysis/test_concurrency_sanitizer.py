@@ -192,7 +192,6 @@ class TestStoreIoDiscipline:
         from repro.storage import CollectionStore, MemoryFileSystem
         fs = MemoryFileSystem()
         store = CollectionStore.create("db", fs=fs)
-        store.pipeline.start_thread()
         workers = [_threading.Thread(
             target=lambda base=base: [store.insert({"w": base + i})
                                       for i in range(5)])

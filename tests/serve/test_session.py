@@ -2,6 +2,7 @@
 deadlines, cancellation, overload shedding, asyncio integration."""
 
 import asyncio
+import errno
 import gc
 import threading
 import time
@@ -15,11 +16,12 @@ from repro.engine import expr
 from repro.engine.query import Query
 from repro.engine.table import Column
 from repro.errors import (Cancelled, ConstraintViolation, Overloaded,
-                          QueryTimeout, SessionClosed)
+                          QueryTimeout, SessionClosed, StorageError)
 from repro.obs import metrics as obs_metrics
 from repro.serve import CancelToken, Server
 from repro.serve.session import _SnapshotView
 from repro.storage import MemoryFileSystem
+from repro.storage.files import _MemFileHandle
 
 
 @pytest.fixture
@@ -304,6 +306,68 @@ class TestLifecycle:
             session.insert_many("scratch", [{"k": 2}, {"k": 3}])
             rows = session.execute("SELECT k FROM scratch").fetchall()
             assert sorted(r["k"] for r in rows) == [1, 2, 3]
+
+
+class TestCommitDriving:
+    """Served group commits are led by the waiting write workers: no
+    other thread drives them, and their failures reach clients typed."""
+
+    def test_fsync_failure_is_typed_for_every_insert(self, served,
+                                                     monkeypatch):
+        server, _, _ = served
+
+        def failing_sync(handle):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        monkeypatch.setattr(_MemFileHandle, "sync", failing_sync)
+        with server.session() as session:
+            with pytest.raises(StorageError,
+                               match="group commit failed") as first:
+                session.insert("po", {"id": 3, "note": "three"})
+            assert isinstance(first.value.__cause__, OSError)
+            assert first.value.__cause__.errno == errno.EIO
+            with pytest.raises(StorageError,
+                               match="commit pipeline failed"):
+                session.insert("po", {"id": 4, "note": "four"})
+
+    def test_no_thread_but_the_lanes_and_close_joins_nothing(
+            self, monkeypatch):
+        fs = MemoryFileSystem()
+        db = Database()
+        columns = [Column.of("id", "number")]
+        before = {thread.ident for thread in threading.enumerate()}
+        tables = [db.create_table("plain", columns, durable="db/plain",
+                                  fs=fs),
+                  db.create_table("sharded", columns,
+                                  durable="db/sharded", fs=fs, shards=4)]
+        server = Server(db, read_workers=2, write_workers=2)
+        tables.append(db.create_table("late", columns, durable="db/late",
+                                      fs=fs))
+        with server.session() as session:
+            for table in tables:
+                session.insert(table.name, {"id": 1})
+                session.insert_many(table.name,
+                                    [{"id": i} for i in range(2, 10)])
+                rows = session.execute(
+                    f"SELECT id FROM {table.name}").fetchall()
+                assert sorted(row["id"] for row in rows) == list(
+                    range(1, 10))
+        started = [thread.name for thread in threading.enumerate()
+                   if thread.ident not in before]
+        assert started and all(name.startswith("repro-serve-")
+                               for name in started), started
+        server.close()
+        joined = []
+        real_join = threading.Thread.join
+
+        def recording_join(thread, *args, **kwargs):
+            joined.append(thread.name)
+            return real_join(thread, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "join", recording_join)
+        for table in tables:
+            table.close()
+        assert joined == []
 
 
 class TestSnapshotView:

@@ -1,6 +1,7 @@
 """Group-commit pipeline semantics: batching, batch limits, pause/
 resume, poisoning, and the WAL batch-marker byte layout."""
 
+import errno
 import threading
 import time
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage import CollectionStore, MemoryFileSystem
+from repro.storage.files import _MemFileHandle
 from repro.storage.faults import CRASH, FaultPlan, FaultyFileSystem, \
     SimulatedCrash
 from repro.storage.framing import scan_frames
@@ -63,14 +65,13 @@ class TestByteLayout:
         assert markers[0].count == 4
 
 
-class TestThreadedBatching:
+class TestConcurrentWaiters:
     def test_staged_commits_share_one_batch(self):
         """Commits staged while the pipeline is paused land as ONE
         group-commit batch (one marker, one fsync) when it resumes."""
         fs = MemoryFileSystem()
         store = CollectionStore.create(DIR, fs=fs)
         pipeline = store.pipeline
-        pipeline.start_thread()
         pipeline.pause()
         threads = [threading.Thread(target=store.insert, args=({"t": i},))
                    for i in range(3)]
@@ -97,7 +98,6 @@ class TestThreadedBatching:
         store = CollectionStore.create(DIR, fs=fs)
         pipeline = store.pipeline
         pipeline.set_batch_limit(1)
-        pipeline.start_thread()
         pipeline.pause()
         threads = [threading.Thread(target=store.insert, args=({"t": i},))
                    for i in range(3)]
@@ -118,7 +118,6 @@ class TestThreadedBatching:
         after — publish happens before the acknowledgement."""
         fs = MemoryFileSystem()
         store = CollectionStore.create(DIR, fs=fs)
-        store.pipeline.start_thread()
         doc_id = store.insert({"k": "v"})
         snapshot = store.snapshot()
         assert snapshot.get(doc_id) == {"k": "v"}
@@ -130,7 +129,6 @@ class TestAsyncSplit:
         fs = MemoryFileSystem()
         store = CollectionStore.create(DIR, fs=fs)
         pipeline = store.pipeline
-        pipeline.start_thread()
         pipeline.pause()
         doc_id, handle = store.insert_async({"pending": True})
         # staged but unacknowledged: published snapshot can't see it
@@ -150,11 +148,10 @@ class TestPauseResume:
         store.close()
 
     def test_checkpoint_during_threaded_commits(self):
-        """Checkpoints interleave safely with a committer thread and
-        concurrent writers; nothing acknowledged is lost."""
+        """Checkpoints interleave safely with concurrent writers whose
+        waiters lead the group commits; nothing acknowledged is lost."""
         fs = MemoryFileSystem()
         store = CollectionStore.create(DIR, fs=fs)
-        store.pipeline.start_thread()
         inserted = []
 
         def writer(base):
@@ -198,11 +195,51 @@ class TestPoisoning:
         assert len(store) == 0
         store.close()  # must not raise
 
-    def test_poisoned_thread_mode_fails_waiters(self):
-        store = self.crash_store()
-        store.pipeline.start_thread()
-        with pytest.raises((StorageError, SimulatedCrash)):
+    def test_io_error_reaches_the_leader_typed(self, monkeypatch):
+        """An ``OSError`` out of the batch I/O is a ``StorageError`` for
+        the waiter that led the batch too, not only for followers."""
+        store = CollectionStore.create(DIR, fs=MemoryFileSystem())
+
+        def failing_sync(handle):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        monkeypatch.setattr(_MemFileHandle, "sync", failing_sync)
+        with pytest.raises(StorageError, match="group commit failed") as err:
             store.insert({"doomed": True})
+        assert isinstance(err.value.__cause__, OSError)
+        with pytest.raises(StorageError, match="commit pipeline failed"):
+            store.insert({"after": True})
+        store.close()
+
+    def test_poisoned_batch_fails_every_waiter(self):
+        """Two commits staged behind a pause share one batch; its crash
+        reaches the waiter that leads it raw, and the other waiter in
+        the batch gets a typed ``StorageError``."""
+        store = self.crash_store()
+        pipeline = store.pipeline
+        pipeline.pause()
+        outcomes = {}
+
+        def insert(name):
+            try:
+                store.insert({"doomed": name})
+            except BaseException as exc:  # noqa: BLE001 - recorded for the asserts
+                outcomes[name] = exc
+
+        threads = [threading.Thread(target=insert, args=(name,))
+                   for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        wait_until(lambda: len(pipeline._pending) == 2)
+        pipeline.resume()
+        for thread in threads:
+            thread.join()
+        kinds = sorted(type(exc).__name__ for exc in outcomes.values())
+        assert kinds == ["SimulatedCrash", "StorageError"]
+        follower = next(exc for exc in outcomes.values()
+                        if isinstance(exc, StorageError))
+        assert "group commit failed" in str(follower)
+        assert isinstance(follower.__cause__, SimulatedCrash)
         with pytest.raises(StorageError):
             store.insert({"after": True})
         store.close()

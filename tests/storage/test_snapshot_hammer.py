@@ -1,8 +1,9 @@
 """Multi-threaded snapshot-isolation hammer (ISSUE 7 satellite).
 
 Eight threads — four writer sessions, four reader sessions — hammer one
-durable table through the serving layer while the committer thread
-groups their fsyncs.  Invariants checked on every read:
+durable table through the serving layer while group commit folds
+their fsyncs (each batch led by one of the waiting writers).
+Invariants checked on every read:
 
 * **atomic batches** — each writer commits its rows in tagged batches;
   no reader snapshot ever sees a partial batch (a tag's row count is
